@@ -1,6 +1,6 @@
 // Command ixbench regenerates the tables and figures of the IX paper's
 // evaluation (§5). Each experiment prints the same rows/series the paper
-// plots; see EXPERIMENTS.md for the paper-vs-measured record.
+// plots.
 //
 // Usage:
 //

@@ -141,8 +141,8 @@ func TestClaimMemcachedGain(t *testing.T) {
 	if linuxRPS == 0 || ixRPS == 0 {
 		t.Fatal("no SLA-compliant point found")
 	}
-	// Our Linux tail model is pessimistic (see EXPERIMENTS.md), so the
-	// ratio can exceed the paper's 3.6x; require at least 2x.
+	// Our Linux tail model is pessimistic, so the ratio can exceed the
+	// paper's 3.6x; require at least 2x.
 	if r := ixRPS / linuxRPS; r < 2 {
 		t.Errorf("IX/Linux SLA gain = %.1fx, paper: 3.6x", r)
 	}
