@@ -196,6 +196,63 @@ func DefaultMTCP() MTCP {
 	}
 }
 
+// Sock is the price list of the kernel-socket adapter the Linux and
+// mTCP models share (netstack.Sock): what each socket call and upcall
+// charges to the owning core. The two baselines run one socket state
+// machine and differ only in these values (§2.3, §5.2).
+type Sock struct {
+	// Write is the fixed cost of one send call; Read of one receive
+	// call. Both add Copy per byte moved.
+	Write, Read time.Duration
+	Copy        PerByte
+	// ReadChunk caps the bytes one receive call moves (the application
+	// buffer); 0 hands the whole socket buffer over in one call.
+	ReadChunk int
+	// TxPerSeg is charged per segment a flush hands to TCP.
+	TxPerSeg time.Duration
+	// Close is charged by close and abort at the call site.
+	Close time.Duration
+	// Accept, Connect are the per-connection open costs.
+	Accept, Connect time.Duration
+	// Notify is charged per connected, sent and send-ready upcall.
+	Notify time.Duration
+	// Dispatch is charged per ready socket the event loop drains.
+	Dispatch time.Duration
+}
+
+// Sock prices Linux socket calls: every call is a syscall, reads move
+// at most a 64 KiB application buffer, and the event loop is epoll.
+func (c Linux) Sock() Sock {
+	return Sock{
+		Write:     c.SyscallEntry + c.SockWrite,
+		Read:      c.SyscallEntry + c.SockRead,
+		Copy:      c.CopyPerByte,
+		ReadChunk: 64 << 10,
+		TxPerSeg:  c.TxPerPkt,
+		Close:     c.SyscallEntry,
+		Accept:    c.SyscallEntry + c.ConnSetup,
+		Connect:   c.SyscallEntry + c.ConnSetup,
+		Dispatch:  c.EpollDispatch,
+	}
+}
+
+// Sock prices mTCP socket calls: user-level API calls, whole-buffer
+// reads, and one queue operation per event handed across the thread
+// pair. Close and abort cost nothing at the call site; the TCP thread
+// pays a QueueOp when it runs the job.
+func (c MTCP) Sock() Sock {
+	return Sock{
+		Write:    c.AppCall,
+		Read:     c.AppCall,
+		Copy:     c.CopyPerByte,
+		TxPerSeg: c.ProtoTx,
+		Accept:   c.AppCall,
+		Connect:  c.ConnSetup,
+		Notify:   c.AppCall,
+		Dispatch: c.QueueOp,
+	}
+}
+
 // MissesPerMsg models Intel DDIO residency as a function of concurrent
 // connection count on one server (Fig. 4): with up to ~10k connections
 // all dataplane state fits in L3 and DMA transfers hit cache (≈1.4 misses

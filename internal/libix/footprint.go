@@ -24,8 +24,7 @@ func (p *program) Footprint() memprobe.Footprint {
 	if p.first {
 		// The cookie table is shared by every thread's program; thread 0
 		// accounts its backing so the bytes are charged exactly once.
-		const slotBytes = int64(unsafe.Sizeof((*conn)(nil)))
-		f.Bytes += int64(cap(p.tab.slots))*slotBytes + int64(cap(p.tab.free))*4
+		f.Bytes += p.tab.FootprintBytes()
 	}
 	//ixvet:ignore(determinism) commutative integer sums; the tally is order-independent
 	for _, c := range p.conns {

@@ -28,6 +28,7 @@ import (
 	"ix/internal/app"
 	"ix/internal/core"
 	"ix/internal/mem"
+	"ix/internal/tcp"
 	"ix/internal/wire"
 )
 
@@ -54,11 +55,9 @@ func Program(factory app.Factory) func(api *core.UserAPI, thread, threads int) c
 	// threads (the destination thread resolves the migrated flow's
 	// cookie), and all threads of one host execute within a single
 	// simulation shard, so the shared table needs no locking.
-	tab := &connTable{}
+	tab := &tcp.CookieTable[conn]{}
 	return func(api *core.UserAPI, thread, threads int) core.UserProgram {
-		if n := api.ExpectedConns(); n > 0 && cap(tab.slots) == 0 {
-			tab.slots = make([]*conn, 0, n)
-		}
+		tab.Reserve(api.ExpectedConns())
 		p := &program{
 			api:     api,
 			txchunk: api.TxChunks(),
@@ -72,50 +71,6 @@ func Program(factory app.Factory) func(api *core.UserAPI, thread, threads int) c
 	}
 }
 
-// connTable maps the kernel's compact uint64 cookies to user
-// connections. The kernel carries only the 8-byte id in its
-// per-connection state — no interface box, nothing for the GC to chase
-// — and the table resolves it back to the descriptor on each event.
-// Ids are slot index + 1, so 0 keeps its "no cookie" meaning; freed
-// slots recycle LIFO for cache locality and bounded growth.
-type connTable struct {
-	slots []*conn
-	free  []uint32
-}
-
-// grant registers c and returns its cookie id.
-//
-//ix:hotpath
-func (t *connTable) grant(c *conn) uint64 {
-	if n := len(t.free); n > 0 {
-		idx := t.free[n-1]
-		t.free = t.free[:n-1]
-		t.slots[idx] = c
-		return uint64(idx) + 1
-	}
-	t.slots = append(t.slots, c)
-	return uint64(len(t.slots))
-}
-
-// lookup resolves a cookie id; 0 and stale ids return nil.
-//
-//ix:hotpath
-func (t *connTable) lookup(id uint64) *conn {
-	if id == 0 || id > uint64(len(t.slots)) {
-		return nil
-	}
-	return t.slots[id-1]
-}
-
-// revoke clears the slot and frees the id for reuse.
-func (t *connTable) revoke(id uint64) {
-	if id == 0 || id > uint64(len(t.slots)) {
-		return
-	}
-	t.slots[id-1] = nil
-	t.free = append(t.free, uint32(id-1))
-}
-
 // program is the per-elastic-thread event loop.
 type program struct {
 	api     *core.UserAPI
@@ -127,10 +82,10 @@ type program struct {
 	// tab is the dataplane-shared cookie table (see Program); first
 	// marks thread 0's program, which accounts the table's footprint so
 	// the shared bytes are charged exactly once per host.
-	tab   *connTable
+	tab   *tcp.CookieTable[conn]
 	first bool
 	conns map[uint64]*conn
-	dirty     []*conn // connections with work to flush this round
+	dirty []*conn // connections with work to flush this round
 	// waiters are connections whose send-ready condition is armed, in
 	// registration order (delivery order is therefore deterministic).
 	waiters []*conn
@@ -355,7 +310,7 @@ func (p *program) newConn(handle uint64, cookie any) *conn {
 // Connect initiates a connection; OnConnected reports the outcome.
 func (p *program) Connect(dst wire.IPv4, port uint16, cookie any) error {
 	c := p.newConn(0, cookie)
-	p.api.Connect(p.tab.grant(c), dst, port)
+	p.api.Connect(p.tab.Grant(c), dst, port)
 	return nil
 }
 
@@ -407,7 +362,7 @@ func (p *program) Run(api *core.UserAPI, events []core.Event, results []core.Sys
 func (p *program) processResult(r *core.SyscallResult) {
 	switch r.Type {
 	case core.SysConnect:
-		c := p.tab.lookup(r.Cookie)
+		c := p.tab.Lookup(r.Cookie)
 		if c == nil {
 			return
 		}
@@ -525,7 +480,7 @@ func (p *program) processEvent(ev *core.Event) {
 		// Accept with the conn's table id as kernel cookie so later
 		// events resolve with one bounds-checked indexed load (the
 		// Table 1 cookie design, minus the interface box).
-		p.api.Accept(ev.Handle, p.tab.grant(c))
+		p.api.Accept(ev.Handle, p.tab.Grant(c))
 		p.handler.OnAccept(c)
 	case core.EvConnected:
 		c := p.resolve(ev)
@@ -534,7 +489,7 @@ func (p *program) processEvent(ev *core.Event) {
 		}
 		if !ev.Outcome {
 			delete(p.conns, c.handle)
-			p.tab.revoke(ev.Cookie)
+			p.tab.Revoke(ev.Cookie)
 			c.closed = true
 			c.arena.ReleaseAll()
 			p.handler.OnConnected(c, false)
@@ -590,7 +545,7 @@ func (p *program) processEvent(ev *core.Event) {
 			return
 		}
 		delete(p.conns, c.handle)
-		p.tab.revoke(ev.Cookie)
+		p.tab.Revoke(ev.Cookie)
 		c.closed = true
 		// The kernel dropped the connection's retransmission queue with
 		// the flow; nothing references the arena any more.
@@ -613,7 +568,7 @@ func (p *program) processEvent(ev *core.Event) {
 		// The id resolves in the shared table regardless of which
 		// thread's program granted it — the property that makes
 		// cross-thread flow migration safe under compact cookies.
-		c := p.tab.lookup(ev.Cookie)
+		c := p.tab.Lookup(ev.Cookie)
 		if c == nil {
 			return
 		}
@@ -649,7 +604,7 @@ func (p *program) processEvent(ev *core.Event) {
 //
 //ix:hotpath
 func (p *program) resolve(ev *core.Event) *conn {
-	if c := p.tab.lookup(ev.Cookie); c != nil {
+	if c := p.tab.Lookup(ev.Cookie); c != nil {
 		return c
 	}
 	return p.conns[ev.Handle]

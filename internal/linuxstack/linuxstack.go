@@ -22,6 +22,7 @@ import (
 	"ix/internal/cost"
 	"ix/internal/fabric"
 	"ix/internal/mem"
+	"ix/internal/memprobe"
 	"ix/internal/netstack"
 	"ix/internal/nicsim"
 	"ix/internal/sim"
@@ -31,9 +32,6 @@ import (
 
 // napiBudget is the Linux NAPI poll budget (packets per softirq poll).
 const napiBudget = 64
-
-// readChunk is the bytes drained per read() call (application buffer).
-const readChunk = 64 << 10
 
 // Config describes a Linux host.
 type Config struct {
@@ -84,17 +82,14 @@ type Host struct {
 	// admission), a run constant hoisted out of the softirq loop.
 	missFloor time.Duration
 
-	// socks is the host-global fd-style socket table: the TCP engine's
-	// per-connection cookie is a compact slot id (index+1) into it
-	// rather than an interface box. Freed slots recycle LIFO.
-	socks    []*sock
-	sockFree []uint32
+	// socks is the host-global fd-style socket table and the engine's
+	// event adapter (the kernel's connection table is global).
+	socks *netstack.Sockets
 
 	listening map[uint16]bool
-	timerWake *sim.Event
-	// Bound callbacks, created once (closures allocate).
-	timerFired func()
-	timerTask  func(*sim.Meter)
+	timer     netstack.TimerWake
+	// timerTask is bound once (method values allocate).
+	timerTask func(*sim.Meter)
 }
 
 // New builds a Linux host. Attach NIC ports before Start.
@@ -118,11 +113,8 @@ func New(eng *sim.Engine, cfg Config) *Host {
 		region:    mem.NewRegion(cfg.MemPages),
 		listening: make(map[uint16]bool),
 	}
-	if cfg.ExpectedConns > 0 {
-		h.socks = make([]*sock, 0, cfg.ExpectedConns)
-	}
+	h.socks = netstack.NewSockets(cfg.ExpectedConns, h.acceptor)
 	h.missFloor = time.Duration(cost.MissesPerMsg(0) * float64(cfg.Cost.L3Miss))
-	h.timerFired = h.onTimerWake
 	h.timerTask = h.runTimerTask
 	h.nic = nicsim.New(eng, cfg.MAC, nicsim.Config{
 		Queues:   cfg.Cores,
@@ -130,6 +122,8 @@ func New(eng *sim.Engine, cfg Config) *Host {
 		ITR:      cfg.ITR,
 	})
 	h.wheel = timerwheel.New(timerwheel.DefaultTick, int64(eng.Now()))
+	// Kernel timer ticks run in softirq context on core 0.
+	h.timer.Init(eng, h.wheel, func() { h.cores[0].core.Submit(sim.ClassKernel, h.timerTask) })
 	h.ns = netstack.New(netstack.Config{
 		LocalIP:  cfg.IP,
 		LocalMAC: cfg.MAC,
@@ -142,7 +136,7 @@ func New(eng *sim.Engine, cfg Config) *Host {
 			}
 			c.outFrames = append(c.outFrames, f)
 		},
-		Events: (*kernelEvents)(h),
+		Events: h.socks,
 		ARP:    h.arp,
 		Seed:   cfg.Seed,
 		RcvWnd: cfg.RcvWnd,
@@ -177,11 +171,26 @@ func (h *Host) Start() {
 		h.cores = append(h.cores, newKcore(h, i))
 	}
 	for _, k := range h.cores {
-		k.handler = h.cfg.Factory(k.env(), k.id, h.cfg.Cores)
-		k.sendReady, _ = k.handler.(app.SendReadyHandler)
-		k.maybeWakeApp()
+		k.so.SetHandler(h.cfg.Factory(k.env(), k.id, h.cfg.Cores))
+		k.Wake()
 	}
 }
+
+// acceptor returns the socket owner for a new passive open: the core
+// whose context is executing, i.e. whose queue received the handshake —
+// the affinity-accept behaviour of §2.3. The socket's events then wake
+// that core's thread.
+func (h *Host) acceptor() *netstack.SockOwner {
+	if h.cur != nil {
+		return &h.cur.so
+	}
+	return &h.cores[0].so
+}
+
+// Footprint implements the memprobe accounting contract for the Linux
+// host model: the shared kernel stack's TCP tally plus the socket
+// layer (see netstack.Sockets.Footprint).
+func (h *Host) Footprint() memprobe.Footprint { return h.socks.Footprint(h.ns.TCP()) }
 
 // Cores returns the core count.
 func (h *Host) Cores() int { return len(h.cores) }
@@ -206,38 +215,6 @@ func (h *Host) ResetStats() {
 	}
 }
 
-// ensureTimerWake arranges a kernel tick for the next timer deadline.
-// It arms at the wheel's NextFireTime, which quantizes a deadline
-// inside the current wheel tick up to the next tick boundary — the
-// same-instant livelock fix, now shared with mtcpstack through the
-// timerwheel API instead of the old timerRanAt re-arm guard.
-func (h *Host) ensureTimerWake() {
-	ft, ok := h.wheel.NextFireTime()
-	if !ok {
-		return
-	}
-	at := sim.Time(ft)
-	if at < h.eng.Now() {
-		// The wheel's clock lags the engine (no softirq ran lately):
-		// wake now; the task's Advance catches the wheel up and the next
-		// arming lands strictly in the future.
-		at = h.eng.Now()
-	}
-	if h.timerWake != nil {
-		if h.timerWake.At() <= at {
-			return
-		}
-		h.eng.Cancel(h.timerWake)
-	}
-	h.timerWake = h.eng.At(at, h.timerFired)
-}
-
-// onTimerWake fires the scheduled kernel timer tick.
-func (h *Host) onTimerWake() {
-	h.timerWake = nil
-	h.cores[0].core.Submit(sim.ClassKernel, h.timerTask)
-}
-
 // runTimerTask advances the kernel wheel in softirq context on core 0.
 func (h *Host) runTimerTask(m *sim.Meter) {
 	k := h.cores[0]
@@ -260,14 +237,16 @@ type kcore struct {
 	rxq  *nicsim.RxQueue
 	txq  *nicsim.TxQueue
 
-	handler app.Handler
-	// sendReady is the handler's optional writable-again extension
-	// (nil when not implemented; cached so sockets test once).
-	sendReady app.SendReadyHandler
-
-	// epoll state.
-	readyQ     []*sock
-	readyHead  int
+	// so is the app thread's socket side: handler and epoll ready list.
+	// Established sockets wake the epoll of their *owning* core — the
+	// thread that issued the connect (or accepted the socket) —
+	// regardless of which core's softirq context processed the packet:
+	// a locally initiated socket's return traffic carries no affinity to
+	// the issuing core (the shared kernel stack has no RSS-aligned port
+	// probing), so routing its readiness to the RSS core would hand the
+	// socket to a different application thread than the one that owns
+	// the fd.
+	so         netstack.SockOwner
 	appRunning bool
 	napiQueued bool
 
@@ -296,6 +275,7 @@ func newKcore(h *Host, id int) *kcore {
 		core: sim.NewCore(h.eng, id),
 		pool: mem.NewMbufPool(h.region, id),
 	}
+	k.so.Init(k, h.cfg.Cost.Sock())
 	k.napiFn = k.napiPoll
 	k.appRunFn = k.appRun
 	k.core.CtxSwitch = h.cfg.Cost.CtxSwitch
@@ -307,14 +287,18 @@ func newKcore(h *Host, id int) *kcore {
 	return k
 }
 
-// chargeK charges kernel work inside whatever task is running.
-func (k *kcore) chargeK(d time.Duration) {
+// Charge charges kernel work inside whatever task is running.
+func (k *kcore) Charge(d time.Duration) {
 	if k.curMeter != nil {
 		k.curMeter.Charge(d)
 	}
 	k.kernelNs += int64(d)
 	k.sysKernel += d
 }
+
+// Run performs socket protocol work inline: a write, close or abort
+// runs TCP output in the syscall itself.
+func (k *kcore) Run(s *netstack.Sock, op netstack.SockOp) { s.Do(op) }
 
 // stageTx moves the task's accumulated frames into the pending-post slot
 // (the backing arrays ping-pong, so steady state does not allocate).
@@ -339,7 +323,7 @@ func (k *kcore) postTx() {
 func kEndTimer(a any) {
 	k := a.(*kcore)
 	k.postTx()
-	k.h.ensureTimerWake()
+	k.h.timer.Ensure()
 }
 
 func kEndNapi(a any) {
@@ -350,22 +334,22 @@ func kEndNapi(a any) {
 	} else {
 		k.rxq.EnableInterrupt()
 	}
-	k.h.ensureTimerWake()
+	k.h.timer.Ensure()
 }
 
 func kEndApp(a any) {
 	k := a.(*kcore)
 	k.postTx()
 	k.appRunning = false
-	k.maybeWakeApp() // events may have landed while we ran
-	k.h.ensureTimerWake()
+	k.Wake() // events may have landed while we ran
+	k.h.timer.Ensure()
 }
 
 func kEndTask(a any) {
 	k := a.(*kcore)
 	k.postTx()
-	k.maybeWakeApp()
-	k.h.ensureTimerWake()
+	k.Wake()
+	k.h.timer.Ensure()
 }
 
 // drainAtEnd posts accumulated frames at task end.
@@ -435,18 +419,10 @@ func (k *kcore) napiPoll(m *sim.Meter) {
 	m.AtEndCall(kEndNapi, k)
 }
 
-// enqueueReady marks a socket eventful and wakes its owning core's app
-// thread if it is blocked in epoll_wait.
-func (k *kcore) enqueueReady(s *sock) {
-	if !s.inReady {
-		s.inReady = true
-		k.readyQ = append(k.readyQ, s)
-	}
-	k.maybeWakeApp()
-}
-
-func (k *kcore) maybeWakeApp() {
-	if k.appRunning || k.readyHead >= len(k.readyQ) {
+// Wake wakes the app thread if it is blocked in epoll_wait with
+// sockets ready.
+func (k *kcore) Wake() {
+	if k.appRunning || !k.so.Pending() {
 		return
 	}
 	k.appRunning = true
@@ -460,22 +436,10 @@ func (k *kcore) appRun(m *sim.Meter) {
 	h.cur = k
 	k.curMeter = m
 	k.sysKernel = 0
-	c := &h.cfg.Cost
-	k.chargeK(c.SyscallEntry) // epoll_wait return
+	k.Charge(h.cfg.Cost.SyscallEntry) // epoll_wait return
 	userStart := m.Elapsed()
 	preKernel := k.sysKernel
-	for k.readyHead < len(k.readyQ) {
-		s := k.readyQ[k.readyHead]
-		k.readyQ[k.readyHead] = nil
-		k.readyHead++
-		if k.readyHead == len(k.readyQ) {
-			k.readyQ = k.readyQ[:0]
-			k.readyHead = 0
-		}
-		s.inReady = false
-		k.chargeK(c.EpollDispatch)
-		k.dispatch(s)
-	}
+	k.so.Drain()
 	userSpent := m.Elapsed() - userStart - (k.sysKernel - preKernel)
 	if userSpent > 0 {
 		k.userNs += int64(userSpent)
@@ -484,67 +448,6 @@ func (k *kcore) appRun(m *sim.Meter) {
 	h.cur = nil
 	k.stageTx()
 	m.AtEndCall(kEndApp, k)
-}
-
-// dispatch delivers one ready socket's events to the application.
-func (k *kcore) dispatch(s *sock) {
-	c := &k.h.cfg.Cost
-	if s.acceptPending {
-		s.acceptPending = false
-		k.chargeK(c.SyscallEntry + c.ConnSetup) // accept4()
-		k.handler.OnAccept(s)
-	}
-	if s.connectedPending {
-		s.connectedPending = false
-		k.handler.OnConnected(s, s.connectedOK)
-		if !s.connectedOK {
-			return
-		}
-	}
-	for int(s.rcvOff) < len(s.rcvbuf) {
-		n := len(s.rcvbuf) - int(s.rcvOff)
-		if n > readChunk {
-			n = readChunk
-		}
-		chunk := s.rcvbuf[s.rcvOff : int(s.rcvOff)+n]
-		s.rcvOff += int32(n)
-		if int(s.rcvOff) == len(s.rcvbuf) {
-			// Fully drained: release the backing so an idle socket holds
-			// no receive buffer; it re-materializes on the next arrival.
-			// chunk stays valid through the OnRecv call below — nothing
-			// can append to rcvbuf while the app thread occupies the core.
-			s.rcvbuf = nil
-			s.rcvOff = 0
-		}
-		k.chargeK(c.SyscallEntry + c.SockRead + c.CopyPerByte.Cost(n))
-		if s.conn != nil {
-			s.conn.RecvDone(n) // window opens as the app consumes
-		}
-		k.handler.OnRecv(s, chunk)
-		if s.dead {
-			return
-		}
-	}
-	if s.sentPending > 0 {
-		n := int(s.sentPending)
-		s.sentPending = 0
-		k.handler.OnSent(s, n)
-	}
-	if s.readyPending {
-		s.readyPending = false
-		if k.sendReady != nil && !s.dead && !s.closing {
-			k.sendReady.OnSendReady(s)
-		}
-	}
-	if s.eofPending {
-		s.eofPending = false
-		k.handler.OnEOF(s)
-	}
-	if s.deadPending {
-		s.deadPending = false
-		s.dead = true
-		k.handler.OnClosed(s)
-	}
 }
 
 // env returns the app.Env for this core's application thread.
@@ -608,17 +511,7 @@ func (e *kenv) After(d time.Duration, fn func()) {
 
 func (e *kenv) Connect(dst wire.IPv4, port uint16, cookie any) error {
 	k := e.k()
-	doConnect := func() {
-		k.chargeK(k.h.cfg.Cost.SyscallEntry + k.h.cfg.Cost.ConnSetup)
-		conn, err := k.h.ns.TCP().Connect(dst, port, 0)
-		if err != nil {
-			s := &sock{k: k, cookie: cookie, connectedPending: true, dead: true}
-			k.enqueueReady(s)
-			return
-		}
-		s := &sock{k: k, conn: conn, cookie: cookie}
-		conn.Cookie = k.h.grantSock(s)
-	}
+	doConnect := func() { k.h.socks.Connect(&k.so, k.h.ns.TCP(), dst, port, cookie) }
 	if k.curMeter != nil {
 		prev := k.h.cur
 		k.h.cur = k

@@ -19,10 +19,10 @@ import (
 	"ix/internal/cost"
 	"ix/internal/fabric"
 	"ix/internal/mem"
+	"ix/internal/memprobe"
 	"ix/internal/netstack"
 	"ix/internal/nicsim"
 	"ix/internal/sim"
-	"ix/internal/tcp"
 	"ix/internal/timerwheel"
 	"ix/internal/wire"
 )
@@ -30,9 +30,6 @@ import (
 // pollBatch is the TCP thread's per-round packet budget (mTCP uses large
 // I/O batches).
 const pollBatch = 2048
-
-// sndbufMax bounds the per-connection user-level send buffer.
-const sndbufMax = 4 << 20
 
 // Config describes an mTCP host.
 type Config struct {
@@ -128,9 +125,8 @@ func (h *Host) Start() {
 		h.cores = append(h.cores, newMcore(h, i))
 	}
 	for _, m := range h.cores {
-		m.handler = h.cfg.Factory(m.env(), m.id, h.cfg.Cores)
-		m.sendReady, _ = m.handler.(app.SendReadyHandler)
-		m.kickApp()
+		m.so.SetHandler(h.cfg.Factory(m.env(), m.id, h.cfg.Cores))
+		m.Wake()
 	}
 }
 
@@ -149,6 +145,17 @@ func (h *Host) ConnCount() int {
 	return n
 }
 
+// Footprint implements the memprobe accounting contract for the mTCP
+// host model: per core, the TCP engine's tally plus the socket layer
+// (see netstack.Sockets.Footprint).
+func (h *Host) Footprint() memprobe.Footprint {
+	var f memprobe.Footprint
+	for _, m := range h.cores {
+		f.Add(m.socks.Footprint(m.ns.TCP()))
+	}
+	return f
+}
+
 // mcore is one core pair: the mTCP TCP thread and its application thread.
 type mcore struct {
 	h    *Host
@@ -161,24 +168,17 @@ type mcore struct {
 	rxq   *nicsim.RxQueue
 	txq   *nicsim.TxQueue
 
-	handler app.Handler
-	// sendReady is the handler's optional writable-again extension
-	// (nil when not implemented).
-	sendReady app.SendReadyHandler
-
-	// mconns is the core's connection table: the TCP engine's cookie is
-	// a compact slot id (index+1) into it, not an interface box. Per
-	// core because each mcore owns a private TCP stack (mTCP's
-	// shared-nothing design). Freed slots recycle LIFO.
-	mconns    []*mconn
-	mconnFree []uint32
-
-	// Event queue: TCP thread → app thread (batched).
-	evQ        []*mconn
+	// socks is the core's socket table and event adapter: per core
+	// because each mcore owns a private TCP stack (mTCP's
+	// shared-nothing design).
+	socks *netstack.Sockets
+	// so is the app thread's socket side; its ready list is the event
+	// queue, TCP thread → app thread (batched).
+	so         netstack.SockOwner
 	appPending bool
 
 	// Job queue: app thread → TCP thread (batched writes/connects).
-	jobQ       []func()
+	jobQ       []job
 	tcpPending bool
 	tcpQueued  bool // a TCP round is scheduled right now
 
@@ -188,11 +188,17 @@ type mcore struct {
 	tcpMore   bool
 	curMeter  *sim.Meter
 
-	// Bound callbacks, created once (method values allocate).
-	tcpFn      func(*sim.Meter)
-	timerFired func()
+	// tcpFn is bound once (method values allocate).
+	tcpFn func(*sim.Meter)
+	timer netstack.TimerWake
+}
 
-	timerWake *sim.Event
+// job is one unit of app → TCP thread work: a socket operation, or an
+// active open.
+type job struct {
+	s       *netstack.Sock
+	op      netstack.SockOp
+	connect func()
 }
 
 func newMcore(h *Host, id int) *mcore {
@@ -203,13 +209,11 @@ func newMcore(h *Host, id int) *mcore {
 		pool:  mem.NewMbufPool(h.region, id),
 		wheel: timerwheel.New(timerwheel.DefaultTick, int64(h.eng.Now())),
 	}
-	expected := 0
-	if n := h.cfg.ExpectedConns; n > 0 {
-		expected = n / h.cfg.Cores
-		m.mconns = make([]*mconn, 0, expected)
-	}
+	expected := max(h.cfg.ExpectedConns, 0) / h.cfg.Cores
+	m.socks = netstack.NewSockets(expected, func() *netstack.SockOwner { return &m.so })
+	m.so.Init(m, h.cfg.Cost.Sock())
 	m.tcpFn = m.tcpRound
-	m.timerFired = m.onTimerWake
+	m.timer.Init(h.eng, m.wheel, m.wakeTCP)
 	m.rxq = h.nic.RxQueue(id)
 	m.txq = h.nic.TxQueue(id)
 	m.rxq.Mode = nicsim.ModePoll
@@ -220,7 +224,7 @@ func newMcore(h *Host, id int) *mcore {
 		Now:       func() int64 { return int64(h.eng.Now()) },
 		Wheel:     m.wheel,
 		SendFrame: func(f *fabric.Frame) { m.outFrames = append(m.outFrames, f) },
-		Events:    (*mtcpEvents)(m),
+		Events:    m.socks,
 		ARP:       h.arp,
 		Seed:      h.cfg.Seed + uint64(id)*0x9e3779b97f4a7c15,
 		RcvWnd:    h.cfg.RcvWnd,
@@ -264,7 +268,11 @@ func (m *mcore) tcpRound(meter *sim.Meter) {
 	m.jobQ = nil
 	for _, j := range jobs {
 		meter.Charge(c.QueueOp)
-		j()
+		if j.connect != nil {
+			j.connect()
+		} else {
+			j.s.Do(j.op)
+		}
 	}
 
 	frames := m.rxq.Take(pollBatch)
@@ -313,13 +321,13 @@ func mEndTCPRound(a any) {
 	if m.tcpMore || m.tcpPending {
 		m.wakeTCP()
 	}
-	m.ensureTimerWake()
-	m.kickApp()
+	m.timer.Ensure()
+	m.Wake()
 }
 
 // queueJob hands work to the TCP thread; it runs after the batched
 // handoff interval (half the round trip of mTCP's added latency).
-func (m *mcore) queueJob(j func()) {
+func (m *mcore) queueJob(j job) {
 	m.jobQ = append(m.jobQ, j)
 	if m.tcpQueued || m.tcpPending {
 		return
@@ -328,10 +336,20 @@ func (m *mcore) queueJob(j func()) {
 	m.h.eng.After(m.h.cfg.Cost.HandoffInterval, m.wakeTCP)
 }
 
-// kickApp schedules an app round if events are waiting, after the
+// Charge bills socket work to whichever thread of the pair is running.
+func (m *mcore) Charge(d time.Duration) {
+	if m.curMeter != nil {
+		m.curMeter.Charge(d)
+	}
+}
+
+// Run hands socket protocol work to the TCP thread as a job.
+func (m *mcore) Run(s *netstack.Sock, op netstack.SockOp) { m.queueJob(job{s: s, op: op}) }
+
+// Wake schedules an app round if events are waiting, after the
 // batched handoff interval (the other half of the added latency).
-func (m *mcore) kickApp() {
-	if m.appPending || len(m.evQ) == 0 {
+func (m *mcore) Wake() {
+	if m.appPending || !m.so.Pending() {
 		return
 	}
 	m.appPending = true
@@ -344,109 +362,15 @@ func (m *mcore) kickApp() {
 func (m *mcore) appRound(meter *sim.Meter) {
 	m.appPending = false
 	m.curMeter = meter
-	c := &m.h.cfg.Cost
-	for len(m.evQ) > 0 {
-		mc := m.evQ[0]
-		m.evQ = m.evQ[1:]
-		mc.inEvQ = false
-		meter.Charge(c.QueueOp)
-		m.dispatch(mc, meter)
-	}
+	m.so.Drain()
 	m.curMeter = nil
 	meter.AtEnd(func() {
-		m.kickApp()
+		m.Wake()
 		if len(m.jobQ) > 0 && !m.tcpPending && !m.tcpQueued {
 			m.tcpPending = true
-			m.h.eng.After(c.HandoffInterval, m.wakeTCP)
+			m.h.eng.After(m.h.cfg.Cost.HandoffInterval, m.wakeTCP)
 		}
 	})
-}
-
-func (m *mcore) dispatch(mc *mconn, meter *sim.Meter) {
-	c := &m.h.cfg.Cost
-	if mc.acceptPending {
-		mc.acceptPending = false
-		meter.Charge(c.AppCall)
-		m.handler.OnAccept(mc)
-	}
-	if mc.connectedPending {
-		mc.connectedPending = false
-		meter.Charge(c.AppCall)
-		m.handler.OnConnected(mc, mc.connectedOK)
-		if !mc.connectedOK {
-			return
-		}
-	}
-	for len(mc.rcvbuf) > 0 {
-		chunk := mc.rcvbuf
-		// Release the backing so an idle connection holds no receive
-		// buffer (it re-materializes on the next arrival); chunk stays
-		// valid through the OnRecv call (the TCP thread cannot append
-		// while the app thread occupies the core).
-		mc.rcvbuf = nil
-		// mtcp_read: API call + copy into the app buffer.
-		meter.Charge(c.AppCall + c.CopyPerByte.Cost(len(chunk)))
-		mc.conn.RecvDone(len(chunk))
-		m.handler.OnRecv(mc, chunk)
-		if mc.dead {
-			return
-		}
-	}
-	if mc.sentPending > 0 {
-		n := int(mc.sentPending)
-		mc.sentPending = 0
-		meter.Charge(c.AppCall)
-		m.handler.OnSent(mc, n)
-	}
-	if mc.readyPending {
-		mc.readyPending = false
-		if m.sendReady != nil && !mc.dead && !mc.closing {
-			meter.Charge(c.AppCall)
-			m.sendReady.OnSendReady(mc)
-		}
-	}
-	if mc.eofPending {
-		mc.eofPending = false
-		m.handler.OnEOF(mc)
-	}
-	if mc.deadPending {
-		mc.deadPending = false
-		mc.dead = true
-		m.handler.OnClosed(mc)
-	}
-}
-
-// ensureTimerWake arranges the next retransmission tick. It arms at the
-// wheel's NextFireTime — never the raw deadline: a deadline inside the
-// current wheel tick cannot fire before the next tick boundary, and
-// waking for it earlier spins poll rounds on an idle core at one
-// instant after another (the cousin of the linuxstack same-instant
-// livelock, now fixed the same way in both stacks).
-func (m *mcore) ensureTimerWake() {
-	ft, ok := m.wheel.NextFireTime()
-	if !ok {
-		return
-	}
-	at := sim.Time(ft)
-	if at < m.h.eng.Now() {
-		// The wheel's clock lags the engine (no poll round ran lately):
-		// wake now; the round's Advance catches the wheel up and the
-		// next arming lands strictly in the future.
-		at = m.h.eng.Now()
-	}
-	if m.timerWake != nil {
-		if m.timerWake.At() <= at {
-			return
-		}
-		m.h.eng.Cancel(m.timerWake)
-	}
-	m.timerWake = m.h.eng.At(at, m.timerFired)
-}
-
-// onTimerWake fires the scheduled retransmission tick.
-func (m *mcore) onTimerWake() {
-	m.timerWake = nil
-	m.wakeTCP()
 }
 
 // env returns the app.Env for this core.
@@ -460,11 +384,7 @@ func (e *menv) m() *mcore { return (*mcore)(e) }
 func (e *menv) Now() int64  { return int64(e.h.eng.Now()) }
 func (e *menv) Thread() int { return e.id }
 
-func (e *menv) Charge(d time.Duration) {
-	if e.curMeter != nil {
-		e.curMeter.Charge(d)
-	}
-}
+func (e *menv) Charge(d time.Duration) { e.m().Charge(d) }
 
 // Elapsed returns CPU time charged in the current task.
 func (e *menv) Elapsed() time.Duration {
@@ -487,7 +407,7 @@ func (e *menv) After(d time.Duration, fn func()) {
 			fn()
 			m.curMeter = nil
 			meter.AtEnd(func() {
-				m.kickApp()
+				m.Wake()
 				if len(m.jobQ) > 0 && !m.tcpPending && !m.tcpQueued {
 					m.tcpPending = true
 					m.h.eng.After(m.h.cfg.Cost.HandoffInterval, m.wakeTCP)
@@ -499,252 +419,6 @@ func (e *menv) After(d time.Duration, fn func()) {
 
 func (e *menv) Connect(dst wire.IPv4, port uint16, cookie any) error {
 	m := e.m()
-	mc := &mconn{m: m, cookie: cookie}
-	m.queueJob(func() {
-		m.curMeter.Charge(m.h.cfg.Cost.ConnSetup)
-		conn, err := m.ns.TCP().Connect(dst, port, 0)
-		if err != nil {
-			mc.connectedPending = true
-			mc.connectedOK = false
-			mc.dead = true
-			m.enqueueEv(mc)
-			return
-		}
-		mc.conn = conn
-		conn.Cookie = m.grantConn(mc)
-	})
+	m.queueJob(job{connect: func() { m.socks.Connect(&m.so, m.ns.TCP(), dst, port, cookie) }})
 	return nil
-}
-
-// enqueueEv queues a connection event for the app thread.
-func (m *mcore) enqueueEv(mc *mconn) {
-	if !mc.inEvQ {
-		mc.inEvQ = true
-		m.evQ = append(m.evQ, mc)
-	}
-	m.kickApp()
-}
-
-// mconn is an mTCP connection as the application sees it.
-type mconn struct {
-	m      *mcore
-	conn   *tcp.Conn
-	cookie any
-
-	rcvbuf []byte
-	sndbuf []byte
-
-	// sentPending is int32 (bounded by sndbufMax) so the descriptor
-	// packs tighter — part of the per-connection byte budget.
-	sentPending int32
-
-	inEvQ            bool
-	acceptPending    bool
-	connectedPending bool
-	connectedOK      bool
-	eofPending       bool
-	deadPending      bool
-	dead             bool
-
-	// closing: mtcp_close was called; the FIN is owed but deferred until
-	// the user-level sndbuf drains (finSent marks it issued), so bytes
-	// queued before close reach the wire first.
-	closing bool
-	finSent bool
-	// wantReady arms the writable-again edge after a short Send;
-	// readyPending carries the armed edge to the app thread's dispatch.
-	wantReady    bool
-	readyPending bool
-}
-
-var _ app.Conn = (*mconn)(nil)
-
-// Send is mtcp_write: copy into the user-level send buffer and queue a
-// write job for the TCP thread.
-func (c *mconn) Send(b []byte) int {
-	if c.dead || c.closing {
-		return 0
-	}
-	m := c.m
-	cc := &m.h.cfg.Cost
-	if m.curMeter != nil {
-		m.curMeter.Charge(cc.AppCall + cc.CopyPerByte.Cost(len(b)))
-	}
-	room := sndbufMax - len(c.sndbuf)
-	if room <= 0 {
-		c.armSendReady()
-		return 0
-	}
-	if len(b) > room {
-		b = b[:room]
-		c.armSendReady()
-	}
-	c.sndbuf = append(c.sndbuf, b...)
-	m.queueJob(c.flushSnd)
-	return len(b)
-}
-
-// armSendReady arms the writable-again edge after a short Send; a no-op
-// unless the core's handler implements app.SendReadyHandler.
-func (c *mconn) armSendReady() {
-	if c.m.sendReady == nil || c.dead || c.closing {
-		return
-	}
-	c.wantReady = true
-}
-
-// flushSnd runs on the TCP thread.
-func (c *mconn) flushSnd() {
-	if len(c.sndbuf) == 0 || c.conn == nil || c.dead {
-		return
-	}
-	n := c.conn.Sendv([][]byte{c.sndbuf})
-	if n > 0 {
-		m := c.m
-		segs := (n + wire.MSS - 1) / wire.MSS
-		if m.curMeter != nil {
-			m.curMeter.ChargeN(segs, m.h.cfg.Cost.ProtoTx)
-		}
-		c.sndbuf = c.sndbuf[n:]
-		if len(c.sndbuf) == 0 {
-			c.sndbuf = nil
-		}
-	}
-}
-
-// Unsent reports user-level buffered bytes.
-func (c *mconn) Unsent() int { return len(c.sndbuf) }
-
-// Close queues an orderly close job. Bytes still in the user-level
-// sndbuf are not dropped: the FIN is deferred until the ACK-driven
-// flush drains the buffer, so queued data reaches the wire first.
-// Further writes are rejected (mTCP marks the socket closed).
-func (c *mconn) Close() {
-	if c.dead || c.closing {
-		return
-	}
-	c.closing = true
-	c.wantReady = false
-	c.m.queueJob(c.finishClose)
-}
-
-// finishClose runs on the TCP thread: issue the FIN once the sndbuf is
-// empty; otherwise the FIN stays owed to mtcpEvents.Sent.
-func (c *mconn) finishClose() {
-	if !c.closing || c.finSent || c.dead || c.conn == nil {
-		return
-	}
-	if len(c.sndbuf) > 0 {
-		return
-	}
-	c.finSent = true
-	c.conn.Close()
-}
-
-// Abort queues a RST close job.
-func (c *mconn) Abort() {
-	if c.dead {
-		return
-	}
-	c.m.queueJob(func() {
-		if c.conn != nil {
-			c.conn.Abort()
-		}
-	})
-}
-
-// Cookie returns the app tag.
-func (c *mconn) Cookie() any { return c.cookie }
-
-// SetCookie tags the connection.
-func (c *mconn) SetCookie(v any) { c.cookie = v }
-
-// mtcpEvents adapts TCP engine callbacks; methods run on the TCP thread.
-type mtcpEvents mcore
-
-func (me *mtcpEvents) m() *mcore { return (*mcore)(me) }
-
-func (me *mtcpEvents) Knock(l *tcp.Listener, key wire.FlowKey) bool { return true }
-
-func (me *mtcpEvents) Accepted(c *tcp.Conn) {
-	m := me.m()
-	mc := &mconn{m: m, conn: c, acceptPending: true}
-	c.Cookie = m.grantConn(mc)
-	m.enqueueEv(mc)
-}
-
-func (me *mtcpEvents) Connected(c *tcp.Conn, ok bool) {
-	m := me.m()
-	mc := m.connOf(c)
-	if mc == nil {
-		return
-	}
-	mc.connectedPending = true
-	mc.connectedOK = ok
-	if !ok {
-		// Terminal: a failed active open never reaches Dead, so the
-		// cookie slot is released here.
-		mc.dead = true
-		m.revokeConn(c.Cookie)
-	}
-	m.enqueueEv(mc)
-}
-
-func (me *mtcpEvents) Recv(c *tcp.Conn, buf *mem.Mbuf, data []byte) {
-	m := me.m()
-	mc := m.connOf(c)
-	if mc == nil {
-		return
-	}
-	// Copy into the user-level receive buffer (mTCP's socket-like API
-	// is not zero-copy); the copy itself is charged at mtcp_read.
-	mc.rcvbuf = append(mc.rcvbuf, data...)
-	m.enqueueEv(mc)
-}
-
-// Sent ignores released: mTCP's user-level sndbuf slides by accepted
-// bytes, not by segment reclamation.
-func (me *mtcpEvents) Sent(c *tcp.Conn, acked, released int) {
-	m := me.m()
-	mc := m.connOf(c)
-	if mc == nil {
-		return
-	}
-	mc.flushSnd()
-	// A deferred mtcp_close issues its FIN the moment the buffer drains.
-	if mc.closing {
-		mc.finishClose()
-	}
-	if acked > 0 && len(mc.sndbuf) > 0 && !mc.closing {
-		mc.sentPending += int32(acked)
-		m.enqueueEv(mc)
-	}
-	// Writable-again edge: a writer that saw a short Send wakes once the
-	// buffer has actually reopened.
-	if mc.wantReady && len(mc.sndbuf) < sndbufMax {
-		mc.wantReady = false
-		mc.readyPending = true
-		m.enqueueEv(mc)
-	}
-}
-
-func (me *mtcpEvents) RemoteClosed(c *tcp.Conn) {
-	m := me.m()
-	mc := m.connOf(c)
-	if mc == nil {
-		return
-	}
-	mc.eofPending = true
-	m.enqueueEv(mc)
-}
-
-func (me *mtcpEvents) Dead(c *tcp.Conn, reason tcp.Reason) {
-	m := me.m()
-	mc := m.connOf(c)
-	if mc == nil {
-		return
-	}
-	m.revokeConn(c.Cookie)
-	mc.deadPending = true
-	m.enqueueEv(mc)
 }

@@ -110,11 +110,12 @@ func TestTimerWakeSkipsCurrentTick(t *testing.T) {
 	m.wheel.Advance(int64(eng.Now()))
 	m.wheel.Add(int64(eng.Now()), func() {})
 
-	m.ensureTimerWake()
-	if m.timerWake == nil {
+	m.timer.Ensure()
+	got, ok := m.timer.Armed()
+	if !ok {
 		t.Fatal("no timer wake armed for a pending deadline")
 	}
-	if got := m.timerWake.At(); got == eng.Now() {
+	if got == eng.Now() {
 		t.Fatalf("timer wake armed at the current instant %v (would spin rounds); want the tick boundary", got)
 	} else if want := sim.Time(11 * tick); got != want {
 		t.Fatalf("timer wake at %v, want next tick boundary %v", got, want)
