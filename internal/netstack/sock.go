@@ -359,13 +359,13 @@ func (t *Sockets) Footprint(st *tcp.Stack) memprobe.Footprint {
 	const sockBytes = int64(unsafe.Sizeof(Sock{}))
 	f := st.Footprint()
 	f.Bytes += t.tab.FootprintBytes()
-	for _, c := range st.Conns() {
+	f.Bytes += st.SumConns(func(c *tcp.Conn) int64 {
 		s := t.tab.Lookup(c.Cookie)
 		if s == nil {
-			continue // embryonic: no socket until accept
+			return 0 // embryonic: no socket until accept
 		}
-		f.Bytes += sockBytes + int64(cap(s.rcvbuf)) + int64(cap(s.sndbuf))
-	}
+		return sockBytes + int64(cap(s.rcvbuf)) + int64(cap(s.sndbuf))
+	})
 	return f
 }
 

@@ -175,3 +175,47 @@ func TestSockLifecycle(t *testing.T) {
 		}
 	}
 }
+
+// TestSockWindowUpdateFlushes sends more than the peer's receive window
+// to a reader that only drains between exchanges. The window then
+// closes with data still in the send buffer, and it reopens with a pure
+// window update — an ACK that acknowledges nothing new. That update
+// must flush the buffer, or the rest of the write stalls for good.
+func TestSockWindowUpdateFlushes(t *testing.T) {
+	now := int64(0)
+	arp := NewARPTable()
+	ipA, ipB := wire.Addr4(10, 0, 0, 1), wire.Addr4(10, 0, 0, 2)
+	macA, macB := wire.MAC{2, 0, 0, 0, 0, 1}, wire.MAC{2, 0, 0, 0, 0, 2}
+	a := newSockHost(&now, ipA, macA, arp)
+	b := newSockHost(&now, ipB, macB, arp)
+	arp.Learn(ipA, macA)
+	arp.Learn(ipB, macB)
+	if _, err := b.s.TCP().Listen(80, nil); err != nil {
+		t.Fatal(err)
+	}
+	step := func(n int) {
+		for i := 0; i < n; i++ {
+			now += int64(100 * time.Microsecond)
+			a.wheel.Advance(now)
+			b.wheel.Advance(now)
+			exchange(&a.host, &b.host)
+			a.owner.Drain()
+			b.owner.Drain()
+		}
+	}
+
+	a.socks.Connect(&a.owner, a.s.TCP(), ipB, 80, "cli")
+	step(4)
+	cli := a.h.conn
+	if cli == nil || b.h.conn == nil {
+		t.Fatalf("no connection: client log %v, server log %v", a.h.log, b.h.log)
+	}
+	const big = 1 << 20
+	if n := cli.Send(make([]byte, big)); n != big {
+		t.Fatalf("client Send = %d, want %d", n, big)
+	}
+	step(256)
+	if b.h.rcvd != big {
+		t.Errorf("server received %d of %d bytes (%d still unsent)", b.h.rcvd, big, cli.Unsent())
+	}
+}

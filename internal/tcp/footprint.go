@@ -52,3 +52,16 @@ func (s *Stack) Footprint() memprobe.Footprint {
 	}
 	return f
 }
+
+// SumConns adds up bytes(c) over every live connection, for a layer
+// above the engine that accounts per-connection state of its own. The
+// sum is order-independent, so unlike Conns it walks the table in
+// place, with no sorted copy.
+func (s *Stack) SumConns(bytes func(*Conn) int64) int64 {
+	var n int64
+	//ixvet:ignore(determinism) commutative integer sums; the tally is order-independent
+	for _, c := range s.conns {
+		n += bytes(c)
+	}
+	return n
+}

@@ -781,6 +781,12 @@ func (c *Conn) processAck(hdr *wire.TCPHeader) {
 				c.fastRetransmit()
 			}
 		}
+		// A pure window update acks nothing new but may reopen a
+		// closed window: fire the sent event so data held above the
+		// engine (socket sndbuf, libix txq) flushes instead of stalling.
+		if ack == c.sndUna && c.usableWindow() > prevUsable {
+			s.cfg.Events.Sent(c, 0, 0)
+		}
 	default:
 		acked := int(seqDiff(ack, c.sndUna))
 		c.sndUna = ack
