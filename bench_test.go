@@ -83,21 +83,6 @@ func BenchmarkFig4ConnScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkFig4ConnScalingShards8 runs the same Figure 4 sweep on the
-// parallel engine with 8 shards. Identical experiment statistics to the
-// serial run (TestSerialParallelEquivalence* pin that); the point of the
-// benchmark is wall-clock — on a many-core runner the sharded sweep
-// should finish severalfold faster than BenchmarkFig4ConnScaling, and
-// benchjson tracks the ratio across PRs.
-func BenchmarkFig4ConnScalingShards8(b *testing.B) {
-	sc := benchScale
-	sc.Shards = 8
-	for i := 0; i < b.N; i++ {
-		r := harness.Fig4(sc)
-		reportPeak(b, r, "IX-40", "IX40_peak_msgs")
-	}
-}
-
 // BenchmarkFig5Memcached regenerates Figure 5 (memcached
 // latency-throughput for ETC and USR on Linux and IX).
 func BenchmarkFig5Memcached(b *testing.B) {

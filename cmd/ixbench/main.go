@@ -22,17 +22,16 @@ func main() {
 	exp := flag.String("experiment", "all", "experiment name (fig2, fig3a, fig3b, fig3c, fig4, fig5, fig6, table2, elastic, incast, chaos, tenants, httpkv) or 'all'")
 	scale := flag.String("scale", "quick", "experiment scale: quick or full")
 	window := flag.Duration("window", 0, "override measurement window")
-	shards := flag.Int("shards", 1, "parallel engine shards for shard-aware experiments (1 = serial)")
 	flag.Parse()
 
-	sc := harness.Quick
-	if *scale == "full" {
-		sc = harness.Full
+	sc, ok := map[string]harness.Scale{"quick": harness.Quick, "full": harness.Full}[*scale]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "ixbench: unknown scale %q (want quick or full)\n", *scale)
+		os.Exit(2)
 	}
 	if *window > 0 {
 		sc.Window = *window
 	}
-	sc.Shards = *shards
 
 	names := []string{*exp}
 	if *exp == "all" {

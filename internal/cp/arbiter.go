@@ -180,20 +180,6 @@ func (a *Arbiter) Start() {
 // Stop halts the loop.
 func (a *Arbiter) Stop() { a.stopped = true }
 
-// TickNow runs one arbitration decision synchronously, without the
-// self-rearming engine timer. Sharded harnesses use it between RunFor
-// chunks: at that point every shard worker is parked at the epoch
-// barrier, so reading the probes and moving cores is ordered after all
-// of the epoch's events (an engine-timer tick would instead fire
-// mid-epoch on shard 0, racing the other shards). Call either Start or
-// TickNow for a given arbiter, not both.
-func (a *Arbiter) TickNow() {
-	if a.stopped {
-		return
-	}
-	a.decide()
-}
-
 func (a *Arbiter) tick() {
 	if a.stopped {
 		return

@@ -244,7 +244,7 @@ func Chaos(sc Scale) *Result {
 	if sc.Window >= 20*time.Millisecond {
 		phases = 16
 	}
-	res := RunChaos(ChaosSetup{Phases: phases, Seed: 23, Shards: sc.Shards})
+	res := RunChaos(ChaosSetup{Phases: phases, Seed: 23})
 	for i, rate := range res.PhaseRates {
 		r.AddPoint("msgs/s", float64(i), rate)
 	}
@@ -265,9 +265,6 @@ func Chaos(sc Scale) *Result {
 			{"frames leaked", fmt.Sprint(res.FramesLeaked)},
 		},
 	})
-	if sc.Shards > 1 {
-		r.Notes = append(r.Notes, fmt.Sprintf("parallel engine: %v", res.Telemetry))
-	}
 	if res.VerifyErrors != 0 || res.SumMismatches != 0 || res.FramesLeaked != 0 {
 		r.Notes = append(r.Notes, "INVARIANT VIOLATION — see table")
 	} else {

@@ -123,14 +123,12 @@ type Cluster struct {
 	Switch *fabric.Switch
 
 	// Sharded-runtime state (nil/empty for serial clusters): engines[i]
-	// drives shard i; hostShard[i] is host i's shard. The switch and all
-	// its ports live on shard 0, hosts round-robin over shards 1..N-1, so
-	// every host↔switch cable crosses at full link latency — the widest
-	// conservative lookahead this topology offers.
-	rt        *shard.Runtime
-	engines   []*sim.Engine
-	hostShard []int
-	nshards   int
+	// drives shard i. The switch and all its ports live on shard 0, hosts
+	// round-robin over shards 1..N-1, so every host↔switch cable crosses
+	// at full link latency — the widest conservative lookahead this
+	// topology offers.
+	rt      *shard.Runtime
+	engines []*sim.Engine
 
 	hosts []Host
 	// links[i] holds host i's cables, in port order: Port(0) faces the
@@ -180,25 +178,15 @@ func NewClusterShards(seed int64, shards int) *Cluster {
 		// deterministic and distinct anyway.
 		engines[i] = sim.NewEngine(seed + int64(i)*0x51_7c_c1_b7_27_22_0a95)
 	}
-	c := &Cluster{
+	return &Cluster{
 		Eng:     engines[0],
 		Switch:  fabric.NewSwitch(engines[0]),
 		rt:      shard.New(engines),
 		engines: engines,
-		nshards: shards,
 		nextIP:  uint32(wire.Addr4(10, 10, 0, 10)),
 		nextMAC: 0x02_00_00_00_00_10,
 		seed:    uint64(seed)*0x9e3779b97f4a7c15 + 1,
 	}
-	return c
-}
-
-// Shards returns the shard count (1 for serial clusters).
-func (c *Cluster) Shards() int {
-	if c.rt == nil {
-		return 1
-	}
-	return c.nshards
 }
 
 // Telemetry returns the sharded runtime's counters (zero Telemetry with
@@ -239,7 +227,7 @@ func (c *Cluster) AddHost(name string, spec HostSpec) Host {
 	sh := 0
 	heng := c.Eng
 	if c.rt != nil {
-		sh = 1 + len(c.hosts)%(c.nshards-1)
+		sh = 1 + len(c.hosts)%(len(c.engines)-1)
 		heng = c.engines[sh]
 	}
 	var h *hostAdapter
@@ -369,14 +357,10 @@ func (c *Cluster) AddHost(name string, spec HostSpec) Host {
 		c.Switch.Bond(mac, portIdxs)
 	}
 	c.hosts = append(c.hosts, h)
-	c.hostShard = append(c.hostShard, sh)
 	c.links = append(c.links, hostLinks)
 	c.sites = append(c.sites, nil)
 	return h
 }
-
-// HostShard returns the shard index of h (0 in serial clusters).
-func (c *Cluster) HostShard(h Host) int { return c.hostShard[c.hostIndex(h)] }
 
 // hostIndex finds h's position in the cluster.
 func (c *Cluster) hostIndex(h Host) int {

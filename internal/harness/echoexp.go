@@ -196,8 +196,5 @@ func RunEcho(s EchoSetup) EchoResult {
 	cl.Run(s.Window)
 	res := collectEcho(cl, &s, m, s.Window)
 	m.Running = false
-	if s.Shards > 1 {
-		lastFig4Telemetry = cl.Telemetry()
-	}
 	return res
 }

@@ -23,9 +23,6 @@ type MemcSetup struct {
 
 	Warmup, Window time.Duration
 	Seed           int64
-
-	// Shards runs the cluster on the sharded engine (0/1 = serial).
-	Shards int
 }
 
 // MemcResult is one measured point.
@@ -49,7 +46,7 @@ func RunMemcached(s MemcSetup) MemcResult {
 	if s.ConnsPerThread <= 0 {
 		s.ConnsPerThread = 32
 	}
-	cl := NewClusterShards(s.Seed, s.Shards)
+	cl := NewCluster(s.Seed)
 	const port = 11211
 	store := memcached.NewStore(256 << 20)
 	mutilate.Preload(store, s.Workload)
@@ -175,7 +172,6 @@ func Fig5(sc Scale) *Result {
 					ClientCores: sc.MemcCores,
 					Warmup:      sc.Warmup,
 					Window:      sc.Window,
-					Shards:      sc.Shards,
 				})
 				base := fmt.Sprintf("%s-%s", w.Name, cfg.label)
 				kRPS := res.AchievedRPS / 1000
@@ -213,7 +209,6 @@ func slaSearch(sc Scale, arch Arch, cores, batch int, w mutilate.Workload, maxRP
 			ClientCores: sc.MemcCores,
 			Warmup:      sc.Warmup,
 			Window:      sc.Window,
-			Shards:      sc.Shards,
 		})
 		return res.AchievedRPS, res.AgentP99 > 0 && res.AgentP99 < SLA
 	}
@@ -273,7 +268,6 @@ func Table2(sc Scale) *Result {
 				ClientCores: 1,
 				Warmup:      sc.Warmup,
 				Window:      sc.Window,
-				Shards:      sc.Shards,
 			})
 			// SLA search: bracket by geometric descent, then bisect.
 			best := slaSearch(sc, cfg.arch, cfg.cores, cfg.batch, w, 2_000_000)
@@ -313,7 +307,6 @@ func Fig6(sc Scale) *Result {
 				ClientCores: sc.MemcCores,
 				Warmup:      sc.Warmup,
 				Window:      sc.Window,
-				Shards:      sc.Shards,
 			})
 			r.AddPoint(fmt.Sprintf("B=%d", b), res.AchievedRPS/1000,
 				float64(res.AgentP99.Microseconds()))

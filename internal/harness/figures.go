@@ -3,8 +3,6 @@ package harness
 import (
 	"fmt"
 	"time"
-
-	"ix/internal/sim/shard"
 )
 
 // Fig2 regenerates the NetPIPE experiment (§5.2, Fig. 2): goodput for
@@ -33,7 +31,6 @@ func Fig2(sc Scale) *Result {
 				MsgSize:        size,
 				Warmup:         sc.Warmup,
 				Window:         sc.Window,
-				Shards:         sc.Shards,
 			})
 			// NetPIPE reports size / one-way time.
 			if res.RTTMean > 0 {
@@ -100,7 +97,6 @@ func Fig3a(sc Scale) *Result {
 				MsgSize:        64,
 				Warmup:         sc.Warmup,
 				Window:         sc.Window,
-				Shards:         sc.Shards,
 			})
 			r.AddPoint(cfgc.label, float64(cores), res.MsgsPerSec)
 		}
@@ -133,7 +129,6 @@ func Fig3b(sc Scale) *Result {
 				MsgSize:        64,
 				Warmup:         sc.Warmup,
 				Window:         sc.Window,
-				Shards:         sc.Shards,
 			})
 			r.AddPoint(cfgc.label, float64(n), res.MsgsPerSec)
 		}
@@ -166,7 +161,6 @@ func Fig3c(sc Scale) *Result {
 				MsgSize:        size,
 				Warmup:         sc.Warmup,
 				Window:         sc.Window,
-				Shards:         sc.Shards,
 			})
 			r.AddPoint(cfgc.label, float64(size), res.GoodputBps/1e9)
 		}
@@ -282,7 +276,6 @@ func Fig4(sc Scale) *Result {
 					RampGap:        gap,
 					Warmup:         sc.Warmup + warm,
 					Window:         sc.Window,
-					Shards:         sc.Shards,
 				})
 				x = float64(threads * per)
 			} else {
@@ -308,7 +301,6 @@ func Fig4(sc Scale) *Result {
 						MsgSize:       64,
 						RampBatch:     16,
 						RampGap:       Fig4QuietGap(cfgc.arch, threads),
-						Shards:        sc.Shards,
 						ExpectedConns: top,
 					})
 				}
@@ -334,13 +326,5 @@ func Fig4(sc Scale) *Result {
 	}
 	r.Notes = append(r.Notes,
 		"droop at high counts comes from the DDIO/L3 model: 1.4 misses/msg ≤10k conns → ~25 at 250k")
-	if sc.Shards > 1 {
-		r.Notes = append(r.Notes, fmt.Sprintf("parallel engine: %v", lastFig4Telemetry))
-	}
 	return r
 }
-
-// lastFig4Telemetry is the most recent sharded Fig. 4 run's engine
-// telemetry (stashed by EchoBench/RunEcho when Shards > 1; serial runs
-// never touch it, keeping their output byte-identical).
-var lastFig4Telemetry = shard.Telemetry{}

@@ -23,9 +23,6 @@ type HTTPKVSetup struct {
 
 	Warmup, Window time.Duration
 	Seed           int64
-
-	// Shards runs the cluster on the sharded engine (0/1 = serial).
-	Shards int
 }
 
 // HTTPKVResult is the measured steady-state behaviour.
@@ -72,7 +69,7 @@ func RunHTTPKV(s HTTPKVSetup) HTTPKVResult {
 	}
 	m := httpkv.NewMetrics()
 	store := httpkv.NewStore()
-	cl := NewClusterShards(s.Seed, s.Shards)
+	cl := NewCluster(s.Seed)
 	cl.AddHost("http", HostSpec{
 		Arch:    s.ServerArch,
 		Cores:   s.ServerCores,
@@ -145,7 +142,6 @@ func HTTPKV(sc Scale) *Result {
 			ClientCores: max(2, sc.ClientCores/4),
 			Warmup:      sc.Warmup,
 			Window:      sc.Window,
-			Shards:      sc.Shards,
 		})
 		xs = append(xs, float64(i))
 		ys = append(ys, res.HTTPPerSec+res.KVPerSec)

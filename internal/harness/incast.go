@@ -179,9 +179,7 @@ func Incast(sc Scale) *Result {
 				MinRTO:     rto,
 				Rounds:     rounds,
 				Seed:       31,
-				Shards:     sc.Shards,
 			})
-			lastIncastTelemetry = res.Telemetry
 			r.AddPoint(fmt.Sprintf("MinRTO=%v", rto), float64(n), res.GoodputBps/1e9)
 			if res.FramesLeaked != 0 {
 				r.Notes = append(r.Notes, fmt.Sprintf(
@@ -192,12 +190,5 @@ func Incast(sc Scale) *Result {
 	}
 	r.Notes = append(r.Notes,
 		"whole-window egress tail drops stall flows for MinRTO; 16µs floor recovers goodput")
-	if sc.Shards > 1 {
-		r.Notes = append(r.Notes, fmt.Sprintf("parallel engine: %v", lastIncastTelemetry))
-	}
 	return r
 }
-
-// lastIncastTelemetry is the most recent sharded incast run's engine
-// telemetry, for the experiment footer.
-var lastIncastTelemetry = shard.Telemetry{}

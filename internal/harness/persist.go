@@ -203,8 +203,5 @@ func (b *EchoBench) MeasurePoint(total, outstanding int, window time.Duration) E
 	resetEchoServerStats(b.cl, b.setup.ServerArch)
 	b.fleet.Resume()
 	b.cl.Run(window)
-	if b.setup.Shards > 1 {
-		lastFig4Telemetry = b.cl.Telemetry()
-	}
 	return collectEcho(b.cl, &b.setup, b.m, window)
 }

@@ -186,10 +186,6 @@ type Scale struct {
 	MemcCores   int // cores per memcached client machine
 	MaxConns    int // Fig. 4 sweep ceiling (paper: 250k)
 	RPSSteps    int // points per latency-throughput curve
-	// Shards runs shard-aware experiments (Fig. 4, incast, chaos) on the
-	// parallel engine with this many OS workers (0/1 = serial). See
-	// DESIGN.md "Parallel engine and the determinism contract".
-	Shards int
 }
 
 // Full approximates the paper's testbed scale.

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"sort"
 	"testing"
 	"time"
 
@@ -48,5 +49,42 @@ func smoke(t *testing.T, server, client Arch, minRTT, maxRTT time.Duration) {
 	t.Logf("%v->%v: msgs=%d rtt p50=%v p99=%v", client, server, m.Msgs.Total(), rtt, m.Latency.Quantile(0.99))
 	if rtt < minRTT || rtt > maxRTT {
 		t.Errorf("median RTT %v outside expected [%v, %v]", rtt, minRTT, maxRTT)
+	}
+}
+
+// TestExperimentsSmoke runs every registry experiment at a tiny scale:
+// each must build its cluster, run, and report series or tables. It is
+// the one test that covers the whole Experiments map.
+func TestExperimentsSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("registry sweep")
+	}
+	sc := Scale{
+		Name:        "smoke",
+		Warmup:      2 * time.Millisecond,
+		Window:      5 * time.Millisecond,
+		EchoClients: 2,
+		ClientCores: 2,
+		MemcClients: 2,
+		MemcCores:   1,
+		MaxConns:    2_000,
+		RPSSteps:    1,
+	}
+	names := make([]string, 0, len(Experiments))
+	for name := range Experiments {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		fn := Experiments[name]
+		t.Run(name, func(t *testing.T) {
+			res := fn(sc)
+			if res == nil {
+				t.Fatalf("%s returned nil", name)
+			}
+			if len(res.Series) == 0 && len(res.Tables) == 0 {
+				t.Errorf("%s produced no series or tables", name)
+			}
+		})
 	}
 }

@@ -169,14 +169,6 @@ type TenantsSetup struct {
 	Policy *cp.ArbiterPolicy
 	Seed   int64
 
-	// Shards runs the cluster on the sharded engine (0/1 = serial). On
-	// a sharded run the arbiter is barrier-stepped: Run slices time
-	// into policy intervals and ticks the arbiter between RunFor calls,
-	// when every shard worker is parked (an engine-timer tick would
-	// fire mid-epoch on shard 0 and race the other shards). The serial
-	// path is byte-identical to previous PRs.
-	Shards int
-
 	Tenants []TenantSpec
 }
 
@@ -208,12 +200,6 @@ type TenantCluster struct {
 	// egress-limit sites.
 	ServerHosts []Host
 	ClientFleet []Host
-
-	// Barrier-stepped arbitration state (sharded runs): Run ticks the
-	// arbiter every arbStep of virtual time; arbCarry is the phase left
-	// over when a Run call ends between ticks.
-	arbStep  time.Duration
-	arbCarry time.Duration
 }
 
 // clientSlot maps one shared-fleet thread to a tenant-local ordinal.
@@ -301,7 +287,7 @@ func BuildTenants(s TenantsSetup) *TenantCluster {
 		panic(fmt.Sprintf("harness: tenant client threads (%d) exceed the shared fleet (%d)", want, fleetThreads))
 	}
 
-	cl := NewClusterShards(s.Seed, s.Shards)
+	cl := NewCluster(s.Seed)
 	tc := &TenantCluster{Setup: s, Cl: cl}
 
 	// Server machine: one dataplane per tenant, tagged 1-based so tag 0
@@ -442,36 +428,8 @@ func BuildTenants(s TenantsSetup) *TenantCluster {
 		}
 	}
 	tc.Arb = cp.NewArbiter(cl.Eng, pol, s.HostCores, members...)
-	if cl.Shards() > 1 {
-		// Barrier-stepped arbitration: Run ticks between RunFor chunks.
-		tc.arbStep = pol.Interval
-	} else {
-		tc.Arb.Start()
-	}
+	tc.Arb.Start()
 	return tc
-}
-
-// Run advances the testbed. On a sharded cluster it slices d into
-// arbitration intervals and ticks the arbiter at each epoch barrier
-// (every shard worker parked), carrying fractional phase across calls;
-// on a serial cluster the arbiter's own engine timer does the ticking.
-func (tc *TenantCluster) Run(d time.Duration) {
-	if tc.arbStep <= 0 {
-		tc.Cl.Run(d)
-		return
-	}
-	for d > 0 {
-		step := tc.arbStep - tc.arbCarry
-		if step > d {
-			tc.arbCarry += d
-			tc.Cl.Run(d)
-			return
-		}
-		d -= step
-		tc.arbCarry = 0
-		tc.Cl.Run(step)
-		tc.Arb.TickNow()
-	}
 }
 
 // Stop halts arbitration and winds every tenant's load down; run the
@@ -519,7 +477,6 @@ func Tenants(sc Scale) *Result {
 		ClientHosts: 4,
 		ClientCores: 4,
 		Seed:        61,
-		Shards:      sc.Shards,
 		Tenants: []TenantSpec{
 			{
 				Name: "frontend", App: TenantMemc,
@@ -548,9 +505,9 @@ func Tenants(sc Scale) *Result {
 		},
 	}
 	tc := BuildTenants(spec)
-	tc.Run(warmup + 2*window + window) // base, spike, recovery
+	tc.Cl.Run(warmup + 2*window + window) // base, spike, recovery
 	tc.Stop()
-	tc.Run(5 * time.Millisecond) // drain
+	tc.Cl.Run(5 * time.Millisecond) // drain
 
 	r := &Result{
 		Name:   "multi-tenant SLO arbitration under a flash crowd",

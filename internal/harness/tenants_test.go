@@ -88,16 +88,16 @@ func flashCrowd(t *testing.T) flashCrowdRun {
 	// Base period, then mid-spike and end-of-run conservation checks:
 	// the charges must tile the totals while traffic is in full flight,
 	// not just after a drain.
-	tc.Run(fcWarm)
+	tc.Cl.Run(fcWarm)
 	checkConservation(t, tc.Cl, "pre-spike")
-	tc.Run(fcSpike / 2)
+	tc.Cl.Run(fcSpike / 2)
 	checkConservation(t, tc.Cl, "mid-spike")
-	tc.Run(fcSpike/2 + fcAfter)
+	tc.Cl.Run(fcSpike/2 + fcAfter)
 	checkConservation(t, tc.Cl, "post-spike")
 
 	usage := tc.Usage()
 	tc.Stop()
-	tc.Run(8 * time.Millisecond) // drain in-flight traffic
+	tc.Cl.Run(8 * time.Millisecond) // drain in-flight traffic
 
 	if n := tc.Cl.FramesInUse(); n != 0 {
 		t.Errorf("frames leaked after drain: %d", n)
@@ -265,7 +265,7 @@ func TestTenantIsolationAccounting(t *testing.T) {
 				for _, site := range sites {
 					site.Apply(chaosMenu(rng))
 				}
-				tc.Run(time.Millisecond)
+				tc.Cl.Run(time.Millisecond)
 				checkConservation(t, tc.Cl, fmt.Sprintf("phase %d", phase))
 			}
 
@@ -273,7 +273,7 @@ func TestTenantIsolationAccounting(t *testing.T) {
 				site.Heal()
 			}
 			tc.Stop()
-			tc.Run(10 * time.Millisecond)
+			tc.Cl.Run(10 * time.Millisecond)
 			checkConservation(t, tc.Cl, "after drain")
 			if n := tc.Cl.FramesInUse(); n != 0 {
 				t.Errorf("frames leaked: %d", n)
