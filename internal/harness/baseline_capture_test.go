@@ -146,9 +146,10 @@ func baselineLines() []string {
 	lines = append(lines, fmt.Sprintf("memc-Linux: rps=%.6f p99=%v mean=%v loadp99=%v kshare=%.9f hits=%d misses=%d",
 		mres.AchievedRPS, mres.AgentP99, mres.AgentMean, mres.LoadP99, mres.ServerKernelShare, mres.Hits, mres.Misses))
 
-	// Drained server footprints: per-socket adapter bytes and cookie
-	// table capacity on top of the TCP engine's tally.
-	for _, arch := range []Arch{ArchLinux, ArchMTCP} {
+	// Drained server footprints: per-socket adapter bytes (Linux, mTCP)
+	// or capability slots and libix descriptors (IX), plus cookie table
+	// capacity, on top of the TCP engine's tally.
+	for _, arch := range []Arch{ArchLinux, ArchMTCP, ArchIX} {
 		const conns = 64
 		b := NewEchoBench(EchoSetup{
 			ServerArch: arch, ServerCores: 2,
