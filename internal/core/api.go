@@ -69,6 +69,10 @@ type Syscall struct {
 type SyscallResult struct {
 	Type   SyscallType
 	Handle uint64
+	// Cookie names the flow in the user library's table: connect and
+	// accept echo the request's cookie, and sendv carries the flow's
+	// own, so a sendv return code resolves without a handle lookup.
+	// It is 0 when the gate rejected the handle.
 	Cookie uint64
 	// N is the primary result: bytes accepted for sendv.
 	N int

@@ -40,7 +40,7 @@ type ElasticThread struct {
 	wheel  *timerwheel.Wheel
 	pool   *mem.MbufPool
 	txpool *mem.TxChunkPool
-	gate   *dune.Gate
+	gate   *dune.Gate[tcp.Conn]
 	rxq    *nicsim.RxQueue
 	txq    *nicsim.TxQueue
 
@@ -98,7 +98,7 @@ type ElasticThread struct {
 func (et *ElasticThread) ID() int { return et.id }
 
 // Gate exposes the thread's dune syscall gate (tests, security checks).
-func (et *ElasticThread) Gate() *dune.Gate { return et.gate }
+func (et *ElasticThread) Gate() *dune.Gate[tcp.Conn] { return et.gate }
 
 // Stack exposes the thread's network stack instance.
 func (et *ElasticThread) Stack() *netstack.Stack { return et.ns }
@@ -124,7 +124,7 @@ func newElasticThread(dp *Dataplane, id int) *ElasticThread {
 		core:       sim.NewCore(dp.eng, id),
 		pool:       mem.NewMbufPool(dp.region, id),
 		txpool:     mem.NewTxChunkPool(dp.region, id),
-		gate:       dune.NewGate(id, expected),
+		gate:       dune.NewGate[tcp.Conn](id, expected),
 		wheel:      timerwheel.New(timerwheel.DefaultTick, int64(dp.eng.Now())),
 		BatchHist:  stats.NewHistogram(),
 		userTimers: make(map[*userTimer]struct{}),
@@ -368,20 +368,19 @@ func (et *ElasticThread) dispatch(sc *Syscall, m *sim.Meter) SyscallResult {
 		conn.Handle = et.gate.Grant(conn)
 		res.Handle = conn.Handle
 	case SysAccept:
-		obj, err := et.gate.Lookup(sc.Handle)
+		conn, err := et.gate.Lookup(sc.Handle)
 		if err != nil {
 			res.Err = err
 			return res
 		}
-		conn := obj.(*tcp.Conn)
 		conn.Cookie = sc.Cookie
 	case SysSendv:
-		obj, err := et.gate.Lookup(sc.Handle)
+		conn, err := et.gate.Lookup(sc.Handle)
 		if err != nil {
 			res.Err = err
 			return res
 		}
-		conn := obj.(*tcp.Conn)
+		res.Cookie = conn.Cookie
 		n := conn.Sendv(sc.SG)
 		res.N = n
 		segs := (n + wire.MSS - 1) / wire.MSS
@@ -389,16 +388,12 @@ func (et *ElasticThread) dispatch(sc *Syscall, m *sim.Meter) SyscallResult {
 		m.Charge(c.ProtoTxByte.Cost(n))
 		m.Charge(c.CopyPerByte.Cost(n)) // zero-copy ablation only
 	case SysRecvDone:
-		if err := et.gate.RecvDone(sc.Handle, sc.Bytes); err != nil {
-			res.Err = err
-			return res
-		}
-		obj, err := et.gate.Lookup(sc.Handle)
+		conn, err := et.gate.RecvDone(sc.Handle, sc.Bytes)
 		if err != nil {
 			res.Err = err
 			return res
 		}
-		obj.(*tcp.Conn).RecvDone(sc.Bytes)
+		conn.RecvDone(sc.Bytes)
 		for _, b := range sc.Bufs {
 			if b.Owner != et.pool.Owner {
 				res.Err = et.gate.Deny()
@@ -407,21 +402,21 @@ func (et *ElasticThread) dispatch(sc *Syscall, m *sim.Meter) SyscallResult {
 			b.Unref()
 		}
 	case SysClose:
-		obj, err := et.gate.Lookup(sc.Handle)
+		conn, err := et.gate.Lookup(sc.Handle)
 		if err != nil {
 			res.Err = err
 			return res
 		}
 		m.Charge(c.ConnSetup / 2)
-		obj.(*tcp.Conn).Close()
+		conn.Close()
 	case SysAbort:
-		obj, err := et.gate.Lookup(sc.Handle)
+		conn, err := et.gate.Lookup(sc.Handle)
 		if err != nil {
 			res.Err = err
 			return res
 		}
 		m.Charge(c.ConnSetup / 2)
-		obj.(*tcp.Conn).Abort()
+		conn.Abort()
 	}
 	return res
 }
@@ -575,7 +570,7 @@ func (u *UserAPI) TxChunks() *mem.TxChunkPool { return u.et.txpool }
 // Listen binds this elastic thread's stack to port (per-thread listener;
 // RSS spreads incoming flows across threads).
 func (u *UserAPI) Listen(port uint16) error {
-	_, err := u.et.ns.TCP().Listen(port, nil)
+	_, err := u.et.ns.TCP().Listen(port)
 	return err
 }
 

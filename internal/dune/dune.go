@@ -105,26 +105,25 @@ func handleThread(h uint64) int { return int(h >> 48) }
 func handleGen(h uint64) uint16 { return uint16(h >> 32) }
 func handleIdx(h uint64) uint32 { return uint32(h) }
 
-// capEntry is one capability-table slot. Field order packs it into 24
-// bytes (interface word pair, then the narrow scalars): with one entry
-// per live flow, slot size is a direct term of the per-connection
-// memory budget.
-type capEntry struct {
-	obj any
+// capEntry is one capability-table slot: 16 bytes (the flow pointer,
+// then the narrow scalars). With one entry per live flow, slot size is
+// a direct term of the per-connection memory budget. A nil flow marks
+// a free slot.
+type capEntry[T any] struct {
+	flow *T
 	// delivered tracks bytes delivered to user space and not yet
 	// returned by recv_done, for overrun validation; bounded by the
 	// flow's receive window, so 32 bits hold it.
 	delivered int32
 	gen       uint16
-	live      bool
 }
 
 // Gate is the per-elastic-thread system call gate: it owns the thread's
 // flow-handle namespace and validates every batched system call before it
-// reaches the dataplane kernel proper.
-type Gate struct {
+// reaches the dataplane kernel proper. T is the dataplane's flow type.
+type Gate[T any] struct {
 	thread  int
-	entries []capEntry
+	entries []capEntry[T]
 	freeIdx []uint32
 
 	violations [vioCount]uint64
@@ -135,59 +134,63 @@ type Gate struct {
 // demand): a presized table never pays append-doubling's transient
 // double allocation, and its capacity is exact rather than the next
 // power of two — both visible in the bytes/conn account.
-func NewGate(thread, expected int) *Gate {
-	g := &Gate{thread: thread}
+func NewGate[T any](thread, expected int) *Gate[T] {
+	g := &Gate[T]{thread: thread}
 	if expected > 0 {
-		g.entries = make([]capEntry, 0, expected)
+		g.entries = make([]capEntry[T], 0, expected)
 	}
 	return g
 }
 
-// Grant installs obj (a dataplane flow) into the namespace and returns
-// its handle.
-func (g *Gate) Grant(obj any) uint64 {
+// Grant installs flow (non-nil) into the namespace and returns its
+// handle.
+func (g *Gate[T]) Grant(flow *T) uint64 {
 	var idx uint32
 	if n := len(g.freeIdx); n > 0 {
 		idx = g.freeIdx[n-1]
 		g.freeIdx = g.freeIdx[:n-1]
 	} else {
 		idx = uint32(len(g.entries))
-		g.entries = append(g.entries, capEntry{})
+		g.entries = append(g.entries, capEntry[T]{})
 	}
 	e := &g.entries[idx]
 	e.gen++
-	e.obj = obj
-	e.live = true
+	e.flow = flow
 	e.delivered = 0
 	return makeHandle(g.thread, e.gen, idx)
 }
 
-// Lookup validates h and returns the granted object.
-func (g *Gate) Lookup(h uint64) (any, error) {
+// entry validates h and returns its live slot.
+func (g *Gate[T]) entry(h uint64) (*capEntry[T], error) {
 	if handleThread(h) != g.thread {
 		g.violations[VioForeignHandle]++
 		return nil, ErrForeignHandle
 	}
 	idx := handleIdx(h)
-	if int(idx) >= len(g.entries) {
+	if int(idx) >= len(g.entries) || g.entries[idx].flow == nil {
 		g.violations[VioBadHandle]++
 		return nil, ErrBadHandle
 	}
 	e := &g.entries[idx]
-	if !e.live {
-		g.violations[VioBadHandle]++
-		return nil, ErrBadHandle
-	}
 	if e.gen != handleGen(h) {
 		g.violations[VioStaleHandle]++
 		return nil, ErrStaleHandle
 	}
-	return e.obj, nil
+	return e, nil
+}
+
+// Lookup validates h and returns the granted flow.
+func (g *Gate[T]) Lookup(h uint64) (*T, error) {
+	e, err := g.entry(h)
+	if err != nil {
+		return nil, err
+	}
+	return e.flow, nil
 }
 
 // Revoke removes h from the namespace (flow closed). Stale revokes are
 // ignored.
-func (g *Gate) Revoke(h uint64) {
+func (g *Gate[T]) Revoke(h uint64) {
 	if handleThread(h) != g.thread {
 		return
 	}
@@ -196,42 +199,39 @@ func (g *Gate) Revoke(h uint64) {
 		return
 	}
 	e := &g.entries[idx]
-	if e.live && e.gen == handleGen(h) {
-		e.live = false
-		e.obj = nil
+	if e.flow != nil && e.gen == handleGen(h) {
+		e.flow = nil
 		g.freeIdx = append(g.freeIdx, idx)
 	}
 }
 
 // Delivered accounts bytes passed read-only to the application on h.
-func (g *Gate) Delivered(h uint64, n int) {
+func (g *Gate[T]) Delivered(h uint64, n int) {
 	idx := handleIdx(h)
-	if int(idx) < len(g.entries) && g.entries[idx].live {
+	if int(idx) < len(g.entries) && g.entries[idx].flow != nil {
 		g.entries[idx].delivered += int32(n)
 	}
 }
 
 // RecvDone validates a recv_done of n bytes against what was actually
 // delivered, rejecting overruns (which could otherwise open the receive
-// window beyond buffer accounting).
-func (g *Gate) RecvDone(h uint64, n int) error {
-	obj, err := g.Lookup(h)
+// window beyond buffer accounting), and returns the flow.
+func (g *Gate[T]) RecvDone(h uint64, n int) (*T, error) {
+	e, err := g.entry(h)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	_ = obj
-	e := &g.entries[handleIdx(h)]
 	if int32(n) > e.delivered {
 		g.violations[VioRecvDoneOverrun]++
-		return ErrRecvDone
+		return nil, ErrRecvDone
 	}
 	e.delivered -= int32(n)
-	return nil
+	return e.flow, nil
 }
 
 // CheckWritable rejects writes to read-only user mappings (incoming
 // mbufs). The readOnly flag comes from the buffer's mapping.
-func (g *Gate) CheckWritable(readOnly bool) error {
+func (g *Gate[T]) CheckWritable(readOnly bool) error {
 	if readOnly {
 		g.violations[VioReadOnlyWrite]++
 		return ErrReadOnly
@@ -240,16 +240,16 @@ func (g *Gate) CheckWritable(readOnly bool) error {
 }
 
 // Deny records a rejected system call.
-func (g *Gate) Deny() error {
+func (g *Gate[T]) Deny() error {
 	g.violations[VioSyscallDenied]++
 	return ErrDenied
 }
 
 // Violations returns the count for one violation kind.
-func (g *Gate) Violations(v Violation) uint64 { return g.violations[v] }
+func (g *Gate[T]) Violations(v Violation) uint64 { return g.violations[v] }
 
 // TotalViolations sums all violation counters.
-func (g *Gate) TotalViolations() uint64 {
+func (g *Gate[T]) TotalViolations() uint64 {
 	var t uint64
 	for _, v := range g.violations {
 		t += v
@@ -262,16 +262,16 @@ func (g *Gate) TotalViolations() uint64 {
 // its high-water mark) plus the free-index stack. The memprobe
 // per-connection accounting charges this to the thread's flow
 // population.
-func (g *Gate) FootprintBytes() int64 {
-	return int64(cap(g.entries))*int64(unsafe.Sizeof(capEntry{})) +
+func (g *Gate[T]) FootprintBytes() int64 {
+	return int64(cap(g.entries))*int64(unsafe.Sizeof(capEntry[T]{})) +
 		int64(cap(g.freeIdx))*int64(unsafe.Sizeof(uint32(0)))
 }
 
 // Live returns the number of live handles (for leak tests).
-func (g *Gate) Live() int {
+func (g *Gate[T]) Live() int {
 	n := 0
 	for _, e := range g.entries {
-		if e.live {
+		if e.flow != nil {
 			n++
 		}
 	}

@@ -1,10 +1,25 @@
 package dune
 
-import "testing"
+import (
+	"testing"
+	"unsafe"
+)
+
+// flow is a stand-in for the dataplane's flow type.
+type flow struct{ name string }
+
+// TestCapEntrySize pins a capability slot at one pointer plus the
+// narrow scalars: the gate holds one slot per live flow, so slot size
+// is a direct term of the bytes/conn budget.
+func TestCapEntrySize(t *testing.T) {
+	if n := unsafe.Sizeof(capEntry[flow]{}); n != 16 {
+		t.Fatalf("unsafe.Sizeof(capEntry{}) = %d B, want 16 B", n)
+	}
+}
 
 func TestHandleLifecycle(t *testing.T) {
-	g := NewGate(3, 0)
-	obj := "flow"
+	g := NewGate[flow](3, 0)
+	obj := &flow{"flow"}
 	h := g.Grant(obj)
 	got, err := g.Lookup(h)
 	if err != nil || got != obj {
@@ -20,17 +35,18 @@ func TestHandleLifecycle(t *testing.T) {
 }
 
 func TestStaleGeneration(t *testing.T) {
-	g := NewGate(0, 0)
-	h1 := g.Grant("first")
+	g := NewGate[flow](0, 0)
+	h1 := g.Grant(&flow{"first"})
 	g.Revoke(h1)
-	h2 := g.Grant("second") // reuses the slot with a new generation
+	second := &flow{"second"}
+	h2 := g.Grant(second) // reuses the slot with a new generation
 	if h1 == h2 {
 		t.Fatal("generations not distinguishing reused slots")
 	}
 	if _, err := g.Lookup(h1); err == nil {
 		t.Fatal("stale handle accepted")
 	}
-	if got, err := g.Lookup(h2); err != nil || got != "second" {
+	if got, err := g.Lookup(h2); err != nil || got != second {
 		t.Fatalf("fresh handle rejected: %v %v", got, err)
 	}
 	if g.Violations(VioStaleHandle) == 0 && g.Violations(VioBadHandle) == 0 {
@@ -39,9 +55,9 @@ func TestStaleGeneration(t *testing.T) {
 }
 
 func TestForeignHandleRejected(t *testing.T) {
-	g0 := NewGate(0, 0)
-	g1 := NewGate(1, 0)
-	h := g0.Grant("thread0 flow")
+	g0 := NewGate[flow](0, 0)
+	g1 := NewGate[flow](1, 0)
+	h := g0.Grant(&flow{"thread0 flow"})
 	if _, err := g1.Lookup(h); err != ErrForeignHandle {
 		t.Fatalf("foreign handle error = %v", err)
 	}
@@ -51,32 +67,33 @@ func TestForeignHandleRejected(t *testing.T) {
 }
 
 func TestForgedHandleRejected(t *testing.T) {
-	g := NewGate(0, 0)
+	g := NewGate[flow](0, 0)
 	if _, err := g.Lookup(0xdead); err == nil {
 		t.Fatal("forged handle accepted")
 	}
 }
 
 func TestRecvDoneAccounting(t *testing.T) {
-	g := NewGate(0, 0)
-	h := g.Grant("flow")
+	g := NewGate[flow](0, 0)
+	f := &flow{"flow"}
+	h := g.Grant(f)
 	g.Delivered(h, 100)
-	if err := g.RecvDone(h, 60); err != nil {
-		t.Fatal(err)
+	if got, err := g.RecvDone(h, 60); err != nil || got != f {
+		t.Fatalf("recv_done: %v, %v", got, err)
 	}
-	if err := g.RecvDone(h, 60); err != ErrRecvDone {
+	if _, err := g.RecvDone(h, 60); err != ErrRecvDone {
 		t.Fatalf("overrun error = %v", err)
 	}
 	if g.Violations(VioRecvDoneOverrun) != 1 {
 		t.Fatal("overrun not counted")
 	}
-	if err := g.RecvDone(h, 40); err != nil {
+	if _, err := g.RecvDone(h, 40); err != nil {
 		t.Fatalf("remaining bytes rejected: %v", err)
 	}
 }
 
 func TestReadOnlyEnforcement(t *testing.T) {
-	g := NewGate(0, 0)
+	g := NewGate[flow](0, 0)
 	if err := g.CheckWritable(true); err != ErrReadOnly {
 		t.Fatalf("got %v", err)
 	}

@@ -11,29 +11,23 @@ import (
 // user-level library: per flow, the connection descriptor plus the
 // capacities of its transmit vector and receive-recycling batches and
 // the TX arena's pinned chunks. Reported as a layer on top of the TCP
-// engine's own tally (core.Dataplane.Footprint adds the two), so Conns
-// here counts libix descriptors — on an idle host it matches the TCP
-// population minus embryonic connections that have not knocked yet.
+// engine's own tally (core.Dataplane.Footprint adds the two), so only
+// Bytes is set. The cookie table is shared by every thread's program
+// and holds every flow of the host, so thread 0 walks it once — its
+// backing and each live conn — and the other threads report nothing.
 func (p *program) Footprint() memprobe.Footprint {
 	const (
 		connBytes  = int64(unsafe.Sizeof(conn{}))
 		sliceBytes = int64(unsafe.Sizeof([]byte(nil)))
 		ptrBytes   = int64(unsafe.Sizeof((*mem.Mbuf)(nil)))
 	)
-	var f memprobe.Footprint
-	if p.first {
-		// The cookie table is shared by every thread's program; thread 0
-		// accounts its backing so the bytes are charged exactly once.
-		f.Bytes += p.tab.FootprintBytes()
+	if !p.first {
+		return memprobe.Footprint{}
 	}
-	//ixvet:ignore(determinism) commutative integer sums; the tally is order-independent
-	for _, c := range p.conns {
-		f.Conns++
-		b := connBytes
-		b += int64(cap(c.txq)) * sliceBytes
-		b += int64(cap(c.rdBufs)) * ptrBytes
-		b += c.arena.FootprintBytes()
-		f.Bytes += b
-	}
-	return f
+	return memprobe.Footprint{Bytes: p.tab.FootprintBytes() + p.tab.Sum(func(c *conn) int64 {
+		return connBytes +
+			int64(cap(c.txq))*sliceBytes +
+			int64(cap(c.rdBufs))*ptrBytes +
+			c.arena.FootprintBytes()
+	})}
 }

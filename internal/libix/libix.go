@@ -63,7 +63,6 @@ func Program(factory app.Factory) func(api *core.UserAPI, thread, threads int) c
 			txchunk: api.TxChunks(),
 			tab:     tab,
 			first:   thread == 0,
-			conns:   make(map[uint64]*conn),
 		}
 		p.handler = factory(p, thread, threads)
 		p.sendReady, _ = p.handler.(app.SendReadyHandler)
@@ -79,13 +78,17 @@ type program struct {
 	// sendReady is the handler's optional writable-again extension
 	// (nil when not implemented).
 	sendReady app.SendReadyHandler
-	// tab is the dataplane-shared cookie table (see Program); first
-	// marks thread 0's program, which accounts the table's footprint so
+	// tab is the dataplane-shared cookie table (see Program): every
+	// return code and event resolves through it. first marks thread
+	// 0's program, which accounts the table and every conn in it, so
 	// the shared bytes are charged exactly once per host.
 	tab   *tcp.CookieTable[conn]
 	first bool
-	conns map[uint64]*conn
-	dirty []*conn // connections with work to flush this round
+	// knocked are the connections accepted this Run. Events sharing an
+	// RX batch with their knock precede the accept that attaches the
+	// cookie, so they carry cookie 0 and resolve here by handle.
+	knocked []*conn
+	dirty   []*conn // connections with work to flush this round
 	// waiters are connections whose send-ready condition is armed, in
 	// registration order (delivery order is therefore deterministic).
 	waiters []*conn
@@ -122,6 +125,9 @@ type conn struct {
 	// recycle state.
 	rdBufs  []*mem.Mbuf
 	rdBytes int32
+
+	// id is the connection's cookie-table id: its kernel cookie.
+	id uint32
 
 	issued  bool // a sendv is in the current batch
 	stalled bool // last sendv was trimmed; wait for a sent event
@@ -300,17 +306,19 @@ func (p *program) Listen(port uint16) error { return p.api.Listen(port) }
 // After schedules fn on the thread's timer service.
 func (p *program) After(d time.Duration, fn func()) { p.api.After(d, fn) }
 
-// newConn builds a connection with its arena wired to the thread pool.
+// newConn builds a connection with its arena wired to the thread pool
+// and its cookie-table id granted.
 func (p *program) newConn(handle uint64, cookie any) *conn {
 	c := &conn{p: p, handle: handle, cookie: cookie}
 	c.arena.Init(p.txchunk)
+	c.id = uint32(p.tab.Grant(c))
 	return c
 }
 
 // Connect initiates a connection; OnConnected reports the outcome.
 func (p *program) Connect(dst wire.IPv4, port uint16, cookie any) error {
 	c := p.newConn(0, cookie)
-	p.api.Connect(p.tab.Grant(c), dst, port)
+	p.api.Connect(uint64(c.id), dst, port)
 	return nil
 }
 
@@ -357,6 +365,8 @@ func (p *program) Run(api *core.UserAPI, events []core.Event, results []core.Sys
 		}
 	}
 	p.dirty = p.dirty[:0]
+	clear(p.knocked)
+	p.knocked = p.knocked[:0]
 }
 
 func (p *program) processResult(r *core.SyscallResult) {
@@ -374,11 +384,10 @@ func (p *program) processResult(r *core.SyscallResult) {
 			return
 		}
 		c.handle = r.Handle
-		p.conns[c.handle] = c
 		// Outcome arrives via the connected event condition.
 	case core.SysSendv:
-		c, ok := p.conns[r.Handle]
-		if !ok {
+		c := p.tab.Lookup(r.Cookie)
+		if c == nil {
 			return
 		}
 		c.issued = false
@@ -476,11 +485,11 @@ func (p *program) processEvent(ev *core.Event) {
 	switch ev.Type {
 	case core.EvKnock:
 		c := p.newConn(ev.Handle, nil)
-		p.conns[ev.Handle] = c
+		p.knocked = append(p.knocked, c)
 		// Accept with the conn's table id as kernel cookie so later
 		// events resolve with one bounds-checked indexed load (the
 		// Table 1 cookie design, minus the interface box).
-		p.api.Accept(ev.Handle, p.tab.Grant(c))
+		p.api.Accept(ev.Handle, uint64(c.id))
 		p.handler.OnAccept(c)
 	case core.EvConnected:
 		c := p.resolve(ev)
@@ -488,8 +497,7 @@ func (p *program) processEvent(ev *core.Event) {
 			return
 		}
 		if !ev.Outcome {
-			delete(p.conns, c.handle)
-			p.tab.Revoke(ev.Cookie)
+			p.tab.Revoke(uint64(c.id))
 			c.closed = true
 			c.arena.ReleaseAll()
 			p.handler.OnConnected(c, false)
@@ -544,8 +552,7 @@ func (p *program) processEvent(ev *core.Event) {
 		if c == nil {
 			return
 		}
-		delete(p.conns, c.handle)
-		p.tab.Revoke(ev.Cookie)
+		p.tab.Revoke(uint64(c.id))
 		c.closed = true
 		// The kernel dropped the connection's retransmission queue with
 		// the flow; nothing references the arena any more.
@@ -574,14 +581,12 @@ func (p *program) processEvent(ev *core.Event) {
 		}
 		// Re-home the connection: it now belongs to this thread's
 		// program and namespace.
-		if c.p != nil && c.p != p {
-			delete(c.p.conns, c.handle)
+		if c.p != p {
 			c.inDirty = false
 		}
 		c.p = p
 		c.handle = ev.Handle
 		c.issued = false
-		p.conns[ev.Handle] = c
 		if c.txBytes > 0 || c.rdBytes > 0 || len(c.rdBufs) > 0 {
 			c.markDirty()
 		}
@@ -599,15 +604,21 @@ func (p *program) processEvent(ev *core.Event) {
 	}
 }
 
-// resolve finds the libix conn for an event via its cookie (fast path) or
-// the handle map.
+// resolve finds the libix conn for an event via its cookie, or — for
+// an event sharing its RX batch with the knock, before the accept gave
+// the flow a cookie — by handle among this Run's knocked connections.
 //
 //ix:hotpath
 func (p *program) resolve(ev *core.Event) *conn {
-	if c := p.tab.Lookup(ev.Cookie); c != nil {
-		return c
+	if ev.Cookie != 0 {
+		return p.tab.Lookup(ev.Cookie)
 	}
-	return p.conns[ev.Handle]
+	for _, c := range p.knocked {
+		if c.handle == ev.Handle {
+			return c
+		}
+	}
+	return nil
 }
 
 // String aids debugging.

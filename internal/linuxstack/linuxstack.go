@@ -487,7 +487,7 @@ func (e *kenv) Listen(port uint16) error {
 		return nil
 	}
 	k.h.listening[port] = true
-	_, err := k.h.ns.TCP().Listen(port, nil)
+	_, err := k.h.ns.TCP().Listen(port)
 	return err
 }
 

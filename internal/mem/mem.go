@@ -227,58 +227,3 @@ func (p *MbufPool) InUse() int { return p.inUse }
 
 // Provisioned returns the number of mbufs backed by pages so far.
 func (p *MbufPool) Provisioned() int { return p.allocated }
-
-// A Pool is a per-thread free-list allocator of identically sized objects,
-// provisioned in page-sized blocks from a Region. It is the generic
-// analogue of the dataplane's hot-path object pools (PCBs, event entries).
-type Pool[T any] struct {
-	region  *Region
-	free    []*T
-	perPage int
-
-	allocated int
-	inUse     int
-	Exhausted uint64
-}
-
-// NewPool returns a pool for objects of type T, with objSize the modelled
-// byte size of T used to compute how many objects one page provisions.
-func NewPool[T any](region *Region, objSize int) *Pool[T] {
-	if objSize <= 0 {
-		panic("mem: pool object size must be positive")
-	}
-	pp := PageSize / objSize
-	if pp < 1 {
-		pp = 1
-	}
-	return &Pool[T]{region: region, perPage: pp}
-}
-
-// Get returns a zeroed object, or nil if the region is exhausted.
-func (p *Pool[T]) Get() *T {
-	if len(p.free) == 0 {
-		if !p.region.TakePage() {
-			p.Exhausted++
-			return nil
-		}
-		for i := 0; i < p.perPage; i++ {
-			p.free = append(p.free, new(T))
-		}
-		p.allocated += p.perPage
-	}
-	o := p.free[len(p.free)-1]
-	p.free = p.free[:len(p.free)-1]
-	var zero T
-	*o = zero
-	p.inUse++
-	return o
-}
-
-// Put returns an object to the pool.
-func (p *Pool[T]) Put(o *T) {
-	p.inUse--
-	p.free = append(p.free, o)
-}
-
-// InUse returns the number of live objects.
-func (p *Pool[T]) InUse() int { return p.inUse }

@@ -395,7 +395,7 @@ func (e *menv) Elapsed() time.Duration {
 }
 
 func (e *menv) Listen(port uint16) error {
-	_, err := e.m().ns.TCP().Listen(port, nil)
+	_, err := e.m().ns.TCP().Listen(port)
 	return err
 }
 

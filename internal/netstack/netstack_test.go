@@ -155,7 +155,7 @@ func TestTCPOverNetstack(t *testing.T) {
 	b := newHost(&now, ipB, macB, arp)
 	arp.Learn(ipA, macA)
 	arp.Learn(ipB, macB)
-	if _, err := b.s.TCP().Listen(80, nil); err != nil {
+	if _, err := b.s.TCP().Listen(80); err != nil {
 		t.Fatal(err)
 	}
 	c, err := a.s.TCP().Connect(ipB, 80, 0)

@@ -112,7 +112,7 @@ func TestSockLifecycle(t *testing.T) {
 	b := newSockHost(&now, ipB, macB, arp)
 	arp.Learn(ipA, macA)
 	arp.Learn(ipB, macB)
-	if _, err := b.s.TCP().Listen(80, nil); err != nil {
+	if _, err := b.s.TCP().Listen(80); err != nil {
 		t.Fatal(err)
 	}
 	step := func() {
@@ -190,7 +190,7 @@ func TestSockWindowUpdateFlushes(t *testing.T) {
 	b := newSockHost(&now, ipB, macB, arp)
 	arp.Learn(ipA, macA)
 	arp.Learn(ipB, macB)
-	if _, err := b.s.TCP().Listen(80, nil); err != nil {
+	if _, err := b.s.TCP().Listen(80); err != nil {
 		t.Fatal(err)
 	}
 	step := func(n int) {

@@ -53,6 +53,19 @@ func (t *CookieTable[T]) Revoke(id uint64) {
 	t.free = append(t.free, uint32(id-1))
 }
 
+// Sum adds up bytes(v) over every live slot, in slot order, for an
+// owner that accounts its per-connection state under the memprobe
+// contract.
+func (t *CookieTable[T]) Sum(bytes func(*T) int64) int64 {
+	var n int64
+	for _, v := range t.slots {
+		if v != nil {
+			n += bytes(v)
+		}
+	}
+	return n
+}
+
 // FootprintBytes is the table's own backing under the memprobe
 // contract: one pointer per slot and one uint32 per free-list entry,
 // by capacity.

@@ -29,7 +29,7 @@ func TestZeroAllocConnEstablish(t *testing.T) {
 		Seed:          7,
 		ExpectedConns: 16,
 	})
-	if _, err := s.Listen(80, nil); err != nil {
+	if _, err := s.Listen(80); err != nil {
 		t.Fatal(err)
 	}
 

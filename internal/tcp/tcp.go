@@ -260,25 +260,20 @@ func NewStack(cfg Config) *Stack {
 
 // A Listener accepts connections on a local port.
 type Listener struct {
-	stack *Stack
-	Port  uint16
-	// Cookie is the opaque user value for knock events.
-	Cookie    any
+	stack     *Stack
+	Port      uint16
 	embryonic int
 }
 
 // Listen starts accepting connections on port.
-func (s *Stack) Listen(port uint16, cookie any) (*Listener, error) {
+func (s *Stack) Listen(port uint16) (*Listener, error) {
 	if _, dup := s.listeners[port]; dup {
 		return nil, fmt.Errorf("tcp: port %d already listening", port)
 	}
-	l := &Listener{stack: s, Port: port, Cookie: cookie}
+	l := &Listener{stack: s, Port: port}
 	s.listeners[port] = l
 	return l, nil
 }
-
-// CloseListener stops accepting new connections.
-func (s *Stack) CloseListener(l *Listener) { delete(s.listeners, l.Port) }
 
 // ConnCount returns the number of live (non-TimeWait) connections, which
 // the cost model uses for the DDIO working-set term.

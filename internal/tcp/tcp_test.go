@@ -158,7 +158,7 @@ func (n *testNet) advance(d time.Duration) {
 // open establishes a connection from a to b:port and returns both ends.
 func (n *testNet) open(t *testing.T, port uint16) (client, server *Conn) {
 	t.Helper()
-	if _, err := n.b.stack.Listen(port, nil); err != nil {
+	if _, err := n.b.stack.Listen(port); err != nil {
 		t.Fatal(err)
 	}
 	c, err := n.a.stack.Connect(n.b.ip, port, 0xc0de)
@@ -615,7 +615,7 @@ func TestDelayedAck(t *testing.T) {
 
 func TestSynBacklogLimit(t *testing.T) {
 	n := newTestNet(t, func(c *Config) { c.SynBacklog = 2 })
-	if _, err := n.b.stack.Listen(80, nil); err != nil {
+	if _, err := n.b.stack.Listen(80); err != nil {
 		t.Fatal(err)
 	}
 	// Inject 3 SYNs from different ports without completing handshakes.
@@ -670,7 +670,7 @@ func TestConnectionTimeout(t *testing.T) {
 // per-SYN emission in the middle of protocol processing.
 func TestBatchedSynAdmission(t *testing.T) {
 	n := newTestNet(t, nil)
-	if _, err := n.b.stack.Listen(80, nil); err != nil {
+	if _, err := n.b.stack.Listen(80); err != nil {
 		t.Fatal(err)
 	}
 	// Three active opens queue three SYNs.
@@ -722,7 +722,7 @@ func TestBatchedSynAdmission(t *testing.T) {
 // Flush.
 func TestBatchedSynAdmissionAbortedBeforeFlush(t *testing.T) {
 	n := newTestNet(t, nil)
-	if _, err := n.b.stack.Listen(80, nil); err != nil {
+	if _, err := n.b.stack.Listen(80); err != nil {
 		t.Fatal(err)
 	}
 	c, err := n.a.stack.Connect(n.b.ip, 80, 0)
