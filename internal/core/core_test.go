@@ -6,6 +6,7 @@ import (
 
 	"ix/internal/dune"
 	"ix/internal/mem"
+	"ix/internal/netstack"
 	"ix/internal/sim"
 	"ix/internal/wire"
 )
@@ -27,12 +28,12 @@ func twoDataplanes(t *testing.T, userA, userB func(api *UserAPI, thread, threads
 	t.Helper()
 	eng := sim.NewEngine(5)
 	a := New(eng, Config{
-		Name: "a", IP: wire.Addr4(10, 0, 0, 1), MAC: wire.MAC{2, 0, 0, 0, 0, 1},
-		Threads: 1, Seed: 1, User: userA,
+		HostConfig: netstack.HostConfig{Name: "a", IP: wire.Addr4(10, 0, 0, 1), MAC: wire.MAC{2, 0, 0, 0, 0, 1}, Seed: 1},
+		Threads:    1, User: userA,
 	})
 	b := New(eng, Config{
-		Name: "b", IP: wire.Addr4(10, 0, 0, 2), MAC: wire.MAC{2, 0, 0, 0, 0, 2},
-		Threads: 1, Seed: 2, User: userB,
+		HostConfig: netstack.HostConfig{Name: "b", IP: wire.Addr4(10, 0, 0, 2), MAC: wire.MAC{2, 0, 0, 0, 0, 2}, Seed: 2},
+		Threads:    1, User: userB,
 	})
 	link := newLink(eng)
 	a.NIC().AttachPort(link.Port(0))
@@ -190,9 +191,9 @@ func TestBatchBoundRespected(t *testing.T) {
 	// Covered end-to-end by harness tests; here check the config default.
 	eng := sim.NewEngine(1)
 	d := New(eng, Config{
-		Name: "x", IP: wire.Addr4(1, 1, 1, 1), MAC: wire.MAC{2},
-		Threads: 1,
-		User:    func(api *UserAPI, t, n int) UserProgram { return &scriptProgram{} },
+		HostConfig: netstack.HostConfig{Name: "x", IP: wire.Addr4(1, 1, 1, 1), MAC: wire.MAC{2}},
+		Threads:    1,
+		User:       func(api *UserAPI, t, n int) UserProgram { return &scriptProgram{} },
 	})
 	if d.BatchBound() != DefaultBatchBound {
 		t.Fatalf("default B = %d", d.BatchBound())
@@ -205,7 +206,7 @@ func TestUserTimeout(t *testing.T) {
 	reported := -1
 	eng := sim.NewEngine(1)
 	d := New(eng, Config{
-		Name: "x", IP: wire.Addr4(1, 1, 1, 1), MAC: wire.MAC{2},
+		HostConfig:      netstack.HostConfig{Name: "x", IP: wire.Addr4(1, 1, 1, 1), MAC: wire.MAC{2}},
 		Threads:         1,
 		OnNonResponsive: func(th int) { reported = th },
 		User: func(api *UserAPI, th, n int) UserProgram {
@@ -229,8 +230,8 @@ func TestUserTimeout(t *testing.T) {
 func TestKernelUserAccounting(t *testing.T) {
 	eng := sim.NewEngine(1)
 	d := New(eng, Config{
-		Name: "x", IP: wire.Addr4(1, 1, 1, 1), MAC: wire.MAC{2},
-		Threads: 1,
+		HostConfig: netstack.HostConfig{Name: "x", IP: wire.Addr4(1, 1, 1, 1), MAC: wire.MAC{2}},
+		Threads:    1,
 		User: func(api *UserAPI, th, n int) UserProgram {
 			api.Charge(100 * time.Microsecond)
 			return &scriptProgram{}

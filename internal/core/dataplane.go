@@ -14,14 +14,11 @@ import (
 	"ix/internal/nicsim"
 	"ix/internal/sim"
 	"ix/internal/tcp"
-	"ix/internal/wire"
 )
 
 // Config describes one IX dataplane instance (one application).
 type Config struct {
-	Name string
-	IP   wire.IPv4
-	MAC  wire.MAC
+	netstack.HostConfig
 
 	// Threads is the number of elastic threads at start.
 	Threads int
@@ -33,18 +30,8 @@ type Config struct {
 	// Cost is the dataplane cost model.
 	Cost cost.IX
 	// MemPages is the large-page grant from the control plane
-	// (default 512 pages = 1 GB).
+	// (default mem.DefaultPages).
 	MemPages int
-	// RcvWnd, MinRTO tune the TCP engine.
-	RcvWnd int
-	MinRTO time.Duration
-	// ExpectedConns is the anticipated host-wide steady-state flow
-	// population; each elastic thread presizes its connection table,
-	// syscall gate and cookie table for its RSS share of it (0 = grow
-	// on demand).
-	ExpectedConns int
-	// Seed makes the instance deterministic.
-	Seed uint64
 	// Tenant is the isolation-accounting tag stamped on every frame
 	// pool this dataplane creates (including threads grown later), so
 	// shared fabric egress can charge this tenant's traffic separately
@@ -53,11 +40,6 @@ type Config struct {
 	// User constructs the ring-3 program for each elastic thread
 	// (libix.Program does this for applications).
 	User func(api *UserAPI, thread, threads int) UserProgram
-	// NICRing overrides the descriptor ring size.
-	NICRing int
-	// ITR is the NIC interrupt moderation (only relevant for the
-	// interrupt fallback; IX polls).
-	ITR time.Duration
 	// OnNonResponsive is notified when the §4.5 user-mode timeout
 	// interrupt marks a thread non-responsive.
 	OnNonResponsive func(thread int)
@@ -69,10 +51,9 @@ const DefaultBatchBound = 64
 // Dataplane is one IX instance: an application-specific OS running on
 // dedicated hardware threads with pass-through NIC access.
 type Dataplane struct {
+	netstack.Machine
 	eng     *sim.Engine
 	cfg     Config
-	nic     *nicsim.NIC
-	arp     *netstack.ARPTable
 	region  *mem.Region
 	threads []*ElasticThread
 
@@ -82,13 +63,6 @@ type Dataplane struct {
 	// missCache avoids recomputing the DDIO penalty every cycle.
 	missConns    int
 	missPenalty_ time.Duration
-	// missFloor_ is the handshake-frame miss charge, a run constant.
-	missFloor_ time.Duration
-
-	// shard/releaser: frame-pool ownership on a parallel engine (see
-	// SetShard); zero-valued on the serial engine.
-	shard    int
-	releaser fabric.RemoteReleaser
 
 	// Migration accounting (control-plane observability).
 	//
@@ -146,7 +120,7 @@ func New(eng *sim.Engine, cfg Config) *Dataplane {
 		cfg.BatchBound = DefaultBatchBound
 	}
 	if cfg.MemPages <= 0 {
-		cfg.MemPages = 512
+		cfg.MemPages = mem.DefaultPages
 	}
 	if cfg.Cost == (cost.IX{}) {
 		cfg.Cost = cost.DefaultIX()
@@ -157,31 +131,12 @@ func New(eng *sim.Engine, cfg Config) *Dataplane {
 	d := &Dataplane{
 		eng:    eng,
 		cfg:    cfg,
-		arp:    netstack.NewARPTable(),
 		region: mem.NewRegion(cfg.MemPages),
 		Domain: dune.Domain{Name: cfg.Name, Ring: dune.Ring0NonRoot},
 	}
-	d.missFloor_ = time.Duration(cost.MissesPerMsg(0) * float64(d.cfg.Cost.L3Miss))
-	d.nic = nicsim.New(eng, cfg.MAC, nicsim.Config{
-		Queues:   cfg.MaxThreads,
-		RingSize: cfg.NICRing,
-		ITR:      cfg.ITR,
-	})
+	d.Machine = netstack.NewMachine(eng, cfg.HostConfig, nicsim.Config{Queues: cfg.MaxThreads})
 	return d
 }
-
-// NIC returns the dataplane's pass-through NIC (for fabric attachment).
-func (d *Dataplane) NIC() *nicsim.NIC { return d.nic }
-
-// ARP returns the host's shared ARP table (preloaded by the harness, as
-// a warmed-up testbed would be).
-func (d *Dataplane) ARP() *netstack.ARPTable { return d.arp }
-
-// IP returns the dataplane's address.
-func (d *Dataplane) IP() wire.IPv4 { return d.cfg.IP }
-
-// MAC returns the dataplane's hardware address.
-func (d *Dataplane) MAC() wire.MAC { return d.cfg.MAC }
 
 // Engine returns the simulation engine.
 func (d *Dataplane) Engine() *sim.Engine { return d.eng }
@@ -194,33 +149,18 @@ func (d *Dataplane) Start() {
 	for i := 0; i < d.cfg.Threads; i++ {
 		d.spawnThread(i)
 	}
-	d.nic.SpreadRETA(len(d.threads))
+	d.NIC().SpreadRETA(len(d.threads))
 }
 
 func (d *Dataplane) spawnThread(id int) {
 	et := newElasticThread(d, id)
 	// Tag at spawn, not just at Start: threads granted later by the
-	// control plane charge the same tenant (and, on a sharded engine,
-	// return remote frame releases to the same shard).
+	// control plane charge the same tenant.
 	et.ns.FramePool().SetTenant(d.cfg.Tenant)
-	if d.releaser != nil {
-		et.ns.FramePool().SetShard(d.shard, d.releaser)
-	}
 	d.threads = append(d.threads, et)
 	et.user = d.cfg.User(et.api, id, d.cfg.Threads)
 	// Kick once so programs that queued work at construction run.
 	et.wake()
-}
-
-// SetShard declares the shard owning this dataplane's frame pools on a
-// parallel engine. It must be called before Start; every thread spawned
-// afterwards — including elastic threads granted mid-run — tags its
-// pool at spawn, so cross-shard releases route home through r.
-func (d *Dataplane) SetShard(sh int, r fabric.RemoteReleaser) {
-	d.shard, d.releaser = sh, r
-	for _, et := range d.threads {
-		et.ns.FramePool().SetShard(sh, r)
-	}
 }
 
 // Threads returns the active elastic thread count.
@@ -234,6 +174,24 @@ func (d *Dataplane) ConnCount() int {
 	n := 0
 	for _, et := range d.threads {
 		n += et.ns.TCP().ConnCount()
+	}
+	return n
+}
+
+// FramesInUse sums outstanding frames across the elastic threads' pools.
+func (d *Dataplane) FramesInUse() int {
+	n := 0
+	for _, et := range d.threads {
+		n += et.ns.FramePool().InUse()
+	}
+	return n
+}
+
+// TxChunksInUse sums TX arena chunks held across the elastic threads.
+func (d *Dataplane) TxChunksInUse() int {
+	n := 0
+	for _, et := range d.threads {
+		n += et.txpool.InUse()
 	}
 	return n
 }
@@ -275,15 +233,9 @@ func (d *Dataplane) missPenalty() time.Duration {
 		}
 	}
 	d.missConns = conns
-	d.missPenalty_ = time.Duration(cost.MissesPerMsg(conns) * float64(d.cfg.Cost.L3Miss))
+	d.missPenalty_ = cost.MissStall(conns, d.cfg.Cost.L3Miss)
 	return d.missPenalty_
 }
-
-// missFloor is the handshake-frame miss charge: SYN/SYN-ACK processing
-// touches the listener and a fresh PCB, not the established-connection
-// working set the DDIO curve models, so establishment bursts charge the
-// ≤10k-connection floor regardless of population (batched SYN admission).
-func (d *Dataplane) missFloor() time.Duration { return d.missFloor_ }
 
 func (d *Dataplane) notifyNonResponsive(et *ElasticThread) {
 	if d.cfg.OnNonResponsive != nil {
@@ -302,7 +254,7 @@ func (d *Dataplane) AddElasticThread() error {
 	}
 	id := len(d.threads)
 	d.spawnThread(id)
-	d.applyRepartition(d.nic.PlanRepartition(len(d.threads)))
+	d.applyRepartition(d.NIC().PlanRepartition(len(d.threads)))
 	return nil
 }
 
@@ -316,7 +268,7 @@ func (d *Dataplane) RemoveElasticThread() error {
 	}
 	n := len(d.threads) - 1
 	victim := d.threads[n]
-	d.applyRepartition(d.nic.PlanRepartition(n))
+	d.applyRepartition(d.NIC().PlanRepartition(n))
 	// Safety net: any connection still homed on the victim (e.g. one
 	// whose reply flow was never RSS-classified) moves to the thread its
 	// bucket now selects.
@@ -355,7 +307,7 @@ func (d *Dataplane) RemoveElasticThread() error {
 //     handles, and an EvMigrated event telling the destination's user
 //     program to adopt each flow.
 func (d *Dataplane) MigrateFlowGroup(bucket, dstID int) {
-	srcID := int(d.nic.RETA()[bucket])
+	srcID := int(d.NIC().RETA()[bucket])
 	if srcID == dstID {
 		return
 	}
@@ -399,7 +351,7 @@ func (d *Dataplane) applyRepartition(plan []nicsim.RetaChange) {
 		// the moving buckets now land on their destinations.
 		for _, ch := range changes {
 			dstOf[ch.Bucket] = d.threads[ch.To]
-			d.nic.SetRETAEntry(ch.Bucket, int(ch.To))
+			d.NIC().SetRETAEntry(ch.Bucket, int(ch.To))
 		}
 		// (3) One ordered pass over the source ring. Frames here belong
 		// only to buckets this source owned, and the destination rings
@@ -407,17 +359,17 @@ func (d *Dataplane) applyRepartition(plan []nicsim.RetaChange) {
 		// share a virtual instant), so tail insertion preserves
 		// intra-flow order.
 		for _, f := range src.rxq.Extract(func(f *fabric.Frame) bool {
-			b, ok := d.nic.FrameBucket(f.Data)
+			b, ok := d.NIC().FrameBucket(f.Data)
 			return ok && dstOf[b] != nil
 		}) {
-			b, _ := d.nic.FrameBucket(f.Data)
+			b, _ := d.NIC().FrameBucket(f.Data)
 			if dstOf[b].rxq.Inject(f) {
 				d.FramesRehomed++
 			}
 		}
 		// (4) One pass over the source's connections.
 		for _, c := range src.ns.TCP().Conns() {
-			dst := dstOf[d.nic.RSSBucket(c.Key().Reverse())]
+			dst := dstOf[d.NIC().RSSBucket(c.Key().Reverse())]
 			if dst == nil {
 				continue
 			}
@@ -435,7 +387,7 @@ func (d *Dataplane) applyRepartition(plan []nicsim.RetaChange) {
 func (d *Dataplane) migrateResidual(src *ElasticThread) {
 	src.quiesce()
 	for _, c := range src.ns.TCP().Conns() {
-		want := d.nic.RSSQueue(c.Key().Reverse())
+		want := d.NIC().RSSQueue(c.Key().Reverse())
 		if want == src.id {
 			want = 0
 		}
@@ -551,7 +503,7 @@ func (d *Dataplane) MeanBatch() float64 {
 
 // RxDrops reports NIC-edge drops (ring overflow) — where all queueing
 // happens in IX (§3).
-func (d *Dataplane) RxDrops() uint64 { return d.nic.RxDrops }
+func (d *Dataplane) RxDrops() uint64 { return d.NIC().RxDrops }
 
 // MaxThreads returns the hardware queue-pair budget.
 func (d *Dataplane) MaxThreads() int { return d.cfg.MaxThreads }

@@ -3,6 +3,7 @@ package core
 import (
 	"time"
 
+	"ix/internal/cost"
 	"ix/internal/dune"
 	"ix/internal/fabric"
 	"ix/internal/mem"
@@ -105,59 +106,25 @@ func (et *ElasticThread) Stack() *netstack.Stack { return et.ns }
 
 // newElasticThread wires up thread id on the dataplane.
 func newElasticThread(dp *Dataplane, id int) *ElasticThread {
-	// Per-thread share of the host's expected flow population: RSS
-	// spreads flows near-uniformly over the provisioned queue pairs.
-	expected := 0
-	if n := dp.cfg.ExpectedConns; n > 0 {
-		threads := dp.cfg.MaxThreads
-		if threads <= 0 {
-			threads = dp.cfg.Threads
-		}
-		if threads <= 0 {
-			threads = 1
-		}
-		expected = n / threads
-	}
 	et := &ElasticThread{
 		dp:         dp,
 		id:         id,
 		core:       sim.NewCore(dp.eng, id),
 		pool:       mem.NewMbufPool(dp.region, id),
 		txpool:     mem.NewTxChunkPool(dp.region, id),
-		gate:       dune.NewGate[tcp.Conn](id, expected),
+		gate:       dune.NewGate[tcp.Conn](id, dp.ConnShare(dp.cfg.MaxThreads)),
 		wheel:      timerwheel.New(timerwheel.DefaultTick, int64(dp.eng.Now())),
 		BatchHist:  stats.NewHistogram(),
 		userTimers: make(map[*userTimer]struct{}),
 	}
 	et.cycleFn = et.cycle
 	et.idleFn = et.idleFired
-	et.rxq = dp.nic.RxQueue(id)
-	et.txq = dp.nic.TxQueue(id)
+	et.rxq = dp.NIC().RxQueue(id)
+	et.txq = dp.NIC().TxQueue(id)
 	et.rxq.Mode = nicsim.ModePoll
 	et.rxq.OnFrame = et.wake
-	et.ns = netstack.New(netstack.Config{
-		LocalIP:   dp.cfg.IP,
-		LocalMAC:  dp.cfg.MAC,
-		Now:       func() int64 { return int64(dp.eng.Now()) },
-		Wheel:     et.wheel,
-		SendFrame: func(f *fabric.Frame) { et.outFrames = append(et.outFrames, f) },
-		Events:    (*threadEvents)(et),
-		ARP:       dp.arp,
-		Seed:      dp.cfg.Seed + uint64(id)*0x9e3779b97f4a7c15,
-		RcvWnd:    dp.cfg.RcvWnd,
-		MinRTO:    dp.cfg.MinRTO,
-
-		ExpectedConns: expected,
-		PortOK: func(p uint16, dst wire.IPv4, dport uint16) bool {
-			// Probe until replies for this flow RSS-hash to our queue.
-			ret := wire.FlowKey{
-				SrcIP: dst, DstIP: dp.cfg.IP,
-				SrcPort: dport, DstPort: p,
-				Proto: wire.ProtoTCP,
-			}
-			return dp.nic.RSSQueue(ret) == id
-		},
-	})
+	et.ns = dp.NewStack(id, dp.cfg.MaxThreads, et.wheel, (*threadEvents)(et),
+		func(f *fabric.Frame) { et.outFrames = append(et.outFrames, f) }, 0)
 	et.api = &UserAPI{et: et}
 	return et
 }
@@ -210,7 +177,6 @@ func (et *ElasticThread) cycle(m *sim.Meter) {
 	// (batched SYN admission: accept-path state stays LLC-resident
 	// across an establishment burst).
 	missNs := et.dp.missPenalty()
-	missFloor := et.dp.missFloor()
 	for _, f := range frames {
 		buf := et.pool.Alloc()
 		if buf == nil {
@@ -224,7 +190,7 @@ func (et *ElasticThread) cycle(m *sim.Meter) {
 		m.Charge(c.ProtoRxByte.Cost(len(f.Data)))
 		m.Charge(c.CopyPerByte.Cost(len(f.Data))) // zero-copy ablation only
 		if nicsim.IsTCPSYN(f.Data) {
-			m.Charge(missFloor)
+			m.Charge(cost.MissStall(0, c.L3Miss))
 		} else {
 			m.Charge(missNs)
 		}

@@ -281,6 +281,16 @@ func MissesPerMsg(conns int) float64 {
 	return fitMiss + frac*(maxMiss-fitMiss)
 }
 
+// MissStall is the per-packet LLC-miss stall at conns live connections:
+// MissesPerMsg misses of l3Miss each. Handshake frames charge
+// MissStall(0, l3Miss), the ≤10k-connection floor: SYN processing
+// touches the listener, the SYN backlog and a fresh PCB, which stay
+// LLC-resident across an establishment burst (batched SYN admission),
+// not the established-connection working set the curve models.
+func MissStall(conns int, l3Miss time.Duration) time.Duration {
+	return time.Duration(MissesPerMsg(conns) * float64(l3Miss))
+}
+
 // log10 avoids importing math for one call site.
 func log10(x float64) float64 {
 	// Newton on ln, seeded by bit trickery, is overkill: use the series

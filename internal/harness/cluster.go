@@ -46,44 +46,31 @@ func (a Arch) String() string {
 	return "?"
 }
 
-// Host abstracts over the three host models for cluster plumbing.
+// Host is the contract every host model meets for cluster plumbing:
+// cabling and ARP, start-up, the live connection count, the memprobe
+// footprint, frame conservation and shard placement.
 type Host interface {
 	NIC() *nicsim.NIC
 	ARP() *netstack.ARPTable
 	IP() wire.IPv4
 	MAC() wire.MAC
 	Start()
-}
-
-// linux/mtcp hosts need a Start adapter (they already have Start).
-var (
-	_ Host = (*hostAdapter)(nil)
-)
-
-// hostAdapter wraps the concrete host types. The frames/chunks closures
-// report the host's outstanding pool resources, so cluster-wide and
-// per-tenant conservation sums walk one host list instead of three
-// arch-specific ones.
-type hostAdapter struct {
-	nic    *nicsim.NIC
-	arp    *netstack.ARPTable
-	ip     wire.IPv4
-	mac    wire.MAC
-	start  func()
-	tenant int
-	frames func() int
-	chunks func() int
-	// footprint samples the host's per-connection memory under the
+	ConnCount() int
+	// Footprint samples the host's per-connection memory under the
 	// memprobe contract (read-only; never perturbs the simulation).
-	footprint func() memprobe.Footprint
-	setShard  func(sh int, r fabric.RemoteReleaser)
+	Footprint() memprobe.Footprint
+	// FramesInUse counts frames outstanding from the host's pools.
+	FramesInUse() int
+	// SetShard places the host's frame pools on shard sh of a parallel
+	// engine (before Start).
+	SetShard(sh int, r fabric.RemoteReleaser)
 }
 
-func (h *hostAdapter) NIC() *nicsim.NIC        { return h.nic }
-func (h *hostAdapter) ARP() *netstack.ARPTable { return h.arp }
-func (h *hostAdapter) IP() wire.IPv4           { return h.ip }
-func (h *hostAdapter) MAC() wire.MAC           { return h.mac }
-func (h *hostAdapter) Start()                  { h.start() }
+var (
+	_ Host = (*core.Dataplane)(nil)
+	_ Host = (*linuxstack.Host)(nil)
+	_ Host = (*mtcpstack.Host)(nil)
+)
 
 // HostSpec describes one machine.
 type HostSpec struct {
@@ -105,9 +92,10 @@ type HostSpec struct {
 	// MinRTO optionally overrides the TCP retransmission-timeout floor
 	// (default 200 µs; the paper cites support for 16 µs incast floors).
 	MinRTO time.Duration
-	// Tenant tags the host's frame pools for multi-tenant isolation
+	// Tenant tags an IX host's frame pools for multi-tenant isolation
 	// accounting (0 = untagged): every frame the host originates
-	// charges this tag at shared switch egress.
+	// charges this tag at shared switch egress. Only IX hosts are
+	// tenants; AddHost rejects a tag on the other architectures.
 	Tenant int
 	// ExpectedConns presizes the host's connection tables (TCP engine,
 	// syscall gate / socket table, user-library cookie table) for the
@@ -213,6 +201,9 @@ func (c *Cluster) nextAddrs() (wire.IPv4, wire.MAC) {
 
 // AddHost builds a machine per spec and cables it to the switch.
 func (c *Cluster) AddHost(name string, spec HostSpec) Host {
+	if spec.Tenant != 0 && spec.Arch != ArchIX {
+		panic(fmt.Sprintf("harness: %s host %q has tenant %d; only IX hosts are tenants", spec.Arch, name, spec.Tenant))
+	}
 	ip, mac := c.nextAddrs()
 	if spec.Ports <= 0 {
 		spec.Ports = 1
@@ -230,107 +221,49 @@ func (c *Cluster) AddHost(name string, spec HostSpec) Host {
 		sh = 1 + len(c.hosts)%(len(c.engines)-1)
 		heng = c.engines[sh]
 	}
-	var h *hostAdapter
+	hc := netstack.HostConfig{
+		Name:          name,
+		IP:            ip,
+		MAC:           mac,
+		Seed:          seed,
+		RcvWnd:        spec.RcvWnd,
+		MinRTO:        spec.MinRTO,
+		ExpectedConns: spec.ExpectedConns,
+	}
+	var h Host
 	switch spec.Arch {
 	case ArchIX:
 		ccfg := core.Config{
-			Name:       name,
-			IP:         ip,
-			MAC:        mac,
+			HostConfig: hc,
 			Threads:    spec.Cores,
 			MaxThreads: spec.MaxThreads,
 			BatchBound: spec.BatchBound,
-			Seed:       seed,
-			RcvWnd:     spec.RcvWnd,
-			MinRTO:     spec.MinRTO,
 			Tenant:     spec.Tenant,
 			User:       libix.Program(spec.Factory),
-
-			ExpectedConns: spec.ExpectedConns,
 		}
 		if spec.IXCost != nil {
 			ccfg.Cost = *spec.IXCost
 		}
 		dp := core.New(heng, ccfg)
 		c.ixs = append(c.ixs, dp)
-		h = &hostAdapter{nic: dp.NIC(), arp: dp.ARP(), ip: ip, mac: mac, start: dp.Start,
-			frames: func() int {
-				n := 0
-				for i := 0; i < dp.Threads(); i++ {
-					n += dp.Thread(i).Stack().FramePool().InUse()
-				}
-				return n
-			},
-			chunks: func() int {
-				n := 0
-				for i := 0; i < dp.Threads(); i++ {
-					n += dp.Thread(i).TxPool().InUse()
-				}
-				return n
-			},
-			footprint: dp.Footprint,
-			setShard:  dp.SetShard}
+		h = dp
 	case ArchLinux:
-		lh := linuxstack.New(heng, linuxstack.Config{
-			Name:    name,
-			IP:      ip,
-			MAC:     mac,
-			Cores:   spec.Cores,
-			Factory: spec.Factory,
-			Seed:    seed,
-			RcvWnd:  spec.RcvWnd,
-			MinRTO:  spec.MinRTO,
-
-			ExpectedConns: spec.ExpectedConns,
-		})
-		lh.Stack().FramePool().SetTenant(spec.Tenant)
+		lh := linuxstack.New(heng, linuxstack.Config{HostConfig: hc, Cores: spec.Cores, Factory: spec.Factory})
 		c.linuxes = append(c.linuxes, lh)
-		h = &hostAdapter{nic: lh.NIC(), arp: lh.ARP(), ip: ip, mac: mac, start: lh.Start,
-			frames:    func() int { return lh.Stack().FramePool().InUse() },
-			chunks:    func() int { return 0 },
-			footprint: lh.Footprint,
-			setShard: func(sh int, r fabric.RemoteReleaser) {
-				lh.Stack().FramePool().SetShard(sh, r)
-			}}
+		h = lh
 	case ArchMTCP:
-		mh := mtcpstack.New(heng, mtcpstack.Config{
-			Name:    name,
-			IP:      ip,
-			MAC:     mac,
-			Cores:   spec.Cores,
-			Factory: spec.Factory,
-			Seed:    seed,
-			RcvWnd:  spec.RcvWnd,
-			MinRTO:  spec.MinRTO,
-
-			ExpectedConns: spec.ExpectedConns,
-		})
-		for i := 0; i < mh.Cores(); i++ {
-			mh.Stack(i).FramePool().SetTenant(spec.Tenant)
-		}
+		mh := mtcpstack.New(heng, mtcpstack.Config{HostConfig: hc, Cores: spec.Cores, Factory: spec.Factory})
 		c.mtcps = append(c.mtcps, mh)
-		h = &hostAdapter{nic: mh.NIC(), arp: mh.ARP(), ip: ip, mac: mac, start: mh.Start,
-			frames: func() int {
-				n := 0
-				for i := 0; i < mh.Cores(); i++ {
-					n += mh.Stack(i).FramePool().InUse()
-				}
-				return n
-			},
-			chunks:    func() int { return 0 },
-			footprint: mh.Footprint,
-			setShard:  mh.SetShard}
+		h = mh
 	default:
 		panic(fmt.Sprintf("harness: unknown arch %d", spec.Arch))
 	}
-	h.tenant = spec.Tenant
 	if c.rt != nil {
 		// Frame pools belong to the host's shard: releases from other
-		// shards route home through the runtime's return boxes. The hook
-		// stores the assignment in the host, which tags each pool as its
-		// owning thread spawns (IX and mTCP build stacks at Start, and IX
-		// elastic threads can be granted mid-run).
-		h.setShard(sh, c.rt.Releaser(sh))
+		// shards route home through the runtime's return boxes. The host
+		// tags each pool as its owning thread spawns (IX and mTCP build
+		// stacks at Start, and IX elastic threads can be granted mid-run).
+		h.SetShard(sh, c.rt.Releaser(sh))
 	}
 	// Cable the NIC's ports to the switch.
 	var portIdxs []int
@@ -429,7 +362,7 @@ func (c *Cluster) EgressDrops(h Host) uint64 {
 func (c *Cluster) FramesInUse() int {
 	n := 0
 	for _, h := range c.hosts {
-		n += h.(*hostAdapter).frames()
+		n += h.FramesInUse()
 	}
 	return n
 }
@@ -439,7 +372,7 @@ func (c *Cluster) FramesInUse() int {
 // every layer of that host's stack. Read-only — safe to call between
 // engine steps without perturbing fixed-seed output.
 func (c *Cluster) HostFootprint(h Host) memprobe.Footprint {
-	return c.hosts[c.hostIndex(h)].(*hostAdapter).footprint()
+	return h.Footprint()
 }
 
 // TxChunksInUse sums TX arena chunks held across every IX dataplane
@@ -449,8 +382,8 @@ func (c *Cluster) HostFootprint(h Host) memprobe.Footprint {
 // arena shows up here.
 func (c *Cluster) TxChunksInUse() int {
 	n := 0
-	for _, h := range c.hosts {
-		n += h.(*hostAdapter).chunks()
+	for _, dp := range c.ixs {
+		n += dp.TxChunksInUse()
 	}
 	return n
 }
@@ -463,8 +396,8 @@ func (c *Cluster) TxChunksInUse() int {
 func (c *Cluster) TenantFramesInUse(tag int) int {
 	n := 0
 	for _, h := range c.hosts {
-		if a := h.(*hostAdapter); a.tenant == tag {
-			n += a.frames()
+		if hostTenant(h) == tag {
+			n += h.FramesInUse()
 		}
 	}
 	return n
@@ -473,9 +406,9 @@ func (c *Cluster) TenantFramesInUse(tag int) int {
 // TenantTxChunksInUse is TenantFramesInUse for TX arena chunks.
 func (c *Cluster) TenantTxChunksInUse(tag int) int {
 	n := 0
-	for _, h := range c.hosts {
-		if a := h.(*hostAdapter); a.tenant == tag {
-			n += a.chunks()
+	for _, dp := range c.ixs {
+		if dp.Tenant() == tag {
+			n += dp.TxChunksInUse()
 		}
 	}
 	return n
@@ -483,13 +416,19 @@ func (c *Cluster) TenantTxChunksInUse(tag int) int {
 
 // MaxTenantTag returns the highest tenant tag any host carries.
 func (c *Cluster) MaxTenantTag() int {
-	max := 0
-	for _, h := range c.hosts {
-		if a := h.(*hostAdapter); a.tenant > max {
-			max = a.tenant
-		}
+	tag := 0
+	for _, dp := range c.ixs {
+		tag = max(tag, dp.Tenant())
 	}
-	return max
+	return tag
+}
+
+// hostTenant is h's tenant tag: IX hosts carry one, others are untagged.
+func hostTenant(h Host) int {
+	if dp, ok := h.(*core.Dataplane); ok {
+		return dp.Tenant()
+	}
+	return 0
 }
 
 // EgressBytes sums bytes transmitted by switch egress ports (toward

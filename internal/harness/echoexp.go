@@ -142,19 +142,6 @@ func resetEchoServerStats(cl *Cluster, arch Arch) {
 	}
 }
 
-// echoServerConns reads the server's live connection count.
-func echoServerConns(cl *Cluster, arch Arch) int {
-	switch arch {
-	case ArchIX:
-		return cl.IXServer(0).ConnCount()
-	case ArchLinux:
-		return cl.LinuxHost(0).ConnCount()
-	case ArchMTCP:
-		return cl.MTCPHost(0).ConnCount()
-	}
-	return 0
-}
-
 // collectEcho reads one measurement window's results off the testbed.
 func collectEcho(cl *Cluster, s *EchoSetup, m *echo.Metrics, window time.Duration) EchoResult {
 	res := EchoResult{
@@ -165,8 +152,8 @@ func collectEcho(cl *Cluster, s *EchoSetup, m *echo.Metrics, window time.Duratio
 		RTTMean:     m.Latency.Mean(),
 	}
 	res.GoodputBps = res.MsgsPerSec * float64(s.MsgSize) * 8
-	res.ServerConns = echoServerConns(cl, s.ServerArch)
-	res.ServerBytesPerConn = cl.HostFootprint(cl.hosts[0]).PerConn()
+	res.ServerConns = cl.hosts[0].ConnCount()
+	res.ServerBytesPerConn = cl.hosts[0].Footprint().PerConn()
 	if s.ServerArch == ArchIX {
 		dp := cl.IXServer(0)
 		k, u := dp.CPUBreakdown()

@@ -136,7 +136,7 @@ func TestPacedTeardownConservation(t *testing.T) {
 	if n := b.cl.TxChunksInUse(); n != 0 {
 		t.Errorf("%d TX arena chunks leaked across mass teardown", n)
 	}
-	if got := echoServerConns(b.cl, ArchIX); got > 330 {
+	if got := b.cl.hosts[0].ConnCount(); got > 330 {
 		t.Errorf("server still holds %d connections after teardown", got)
 	}
 }

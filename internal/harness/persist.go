@@ -193,7 +193,7 @@ func (b *EchoBench) MeasurePoint(total, outstanding int, window time.Duration) E
 		// The ring shrank immediately; wait for the FIN handshakes to
 		// clear the server's connection table too.
 		b.runUntil(b.teardownBudgetFor(delta), establishStep, func() bool {
-			return echoServerConns(b.cl, b.setup.ServerArch) <= target
+			return b.cl.hosts[0].ConnCount() <= target
 		})
 	}
 	b.cl.Run(settleRun)

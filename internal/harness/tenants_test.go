@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"ix/internal/apps/echo"
 	"ix/internal/cp"
 	"ix/internal/faults"
 )
@@ -304,5 +305,33 @@ func TestTenantsExperiment(t *testing.T) {
 	}
 	if len(r.Tables) == 0 || len(r.Tables[0].Rows) != 3 {
 		t.Fatalf("tenants experiment table malformed: %+v", r.Tables)
+	}
+}
+
+// TestTenantIsIXOnly: tenants are IX dataplanes. AddHost tags an IX
+// host's frame pools, threads spawned at Start included, and rejects a
+// tenant tag on the Linux and mTCP models instead of dropping it.
+func TestTenantIsIXOnly(t *testing.T) {
+	for _, arch := range []Arch{ArchLinux, ArchMTCP} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s host accepted a tenant tag", arch)
+				}
+			}()
+			NewCluster(1).AddHost("h", HostSpec{Arch: arch, Tenant: 3, Factory: echo.ServerFactory(9000, 64)})
+		}()
+	}
+	cl := NewCluster(1)
+	cl.AddHost("ix", HostSpec{Arch: ArchIX, Cores: 2, Tenant: 3, Factory: echo.ServerFactory(9000, 64)})
+	cl.Start()
+	dp := cl.IXServer(0)
+	for i := 0; i < dp.Threads(); i++ {
+		if tag := dp.Thread(i).Stack().FramePool().Tenant(); tag != 3 {
+			t.Errorf("IX thread %d pool tagged %d, want 3", i, tag)
+		}
+	}
+	if got := cl.MaxTenantTag(); got != 3 {
+		t.Errorf("MaxTenantTag = %d, want 3", got)
 	}
 }

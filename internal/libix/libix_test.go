@@ -7,6 +7,7 @@ import (
 	"ix/internal/app"
 	"ix/internal/core"
 	"ix/internal/fabric"
+	"ix/internal/netstack"
 	"ix/internal/sim"
 	"ix/internal/wire"
 )
@@ -51,12 +52,12 @@ func pair(t *testing.T, serverF, clientF app.Factory) (*sim.Engine, *core.Datapl
 	t.Helper()
 	eng := sim.NewEngine(3)
 	a := core.New(eng, core.Config{
-		Name: "a", IP: wire.Addr4(10, 0, 0, 1), MAC: wire.MAC{2, 0, 0, 0, 0, 1},
-		Threads: 1, Seed: 1, User: Program(clientF),
+		HostConfig: netstack.HostConfig{Name: "a", IP: wire.Addr4(10, 0, 0, 1), MAC: wire.MAC{2, 0, 0, 0, 0, 1}, Seed: 1},
+		Threads:    1, User: Program(clientF),
 	})
 	b := core.New(eng, core.Config{
-		Name: "b", IP: wire.Addr4(10, 0, 0, 2), MAC: wire.MAC{2, 0, 0, 0, 0, 2},
-		Threads: 1, Seed: 2, User: Program(serverF),
+		HostConfig: netstack.HostConfig{Name: "b", IP: wire.Addr4(10, 0, 0, 2), MAC: wire.MAC{2, 0, 0, 0, 0, 2}, Seed: 2},
+		Threads:    1, User: Program(serverF),
 	})
 	link := fabric.NewLink(eng, 10*fabric.Gbps, 500*time.Nanosecond)
 	a.NIC().AttachPort(link.Port(0))

@@ -33,11 +33,14 @@ import (
 // napiBudget is the Linux NAPI poll budget (packets per softirq poll).
 const napiBudget = 64
 
-// Config describes a Linux host.
+// itr is the NIC interrupt moderation; the paper tunes thresholds, so
+// it is a low 4 µs.
+const itr = 4 * time.Microsecond
+
+// Config describes a Linux host. ExpectedConns presizes the kernel's
+// global connection and socket tables.
 type Config struct {
-	Name string
-	IP   wire.IPv4
-	MAC  wire.MAC
+	netstack.HostConfig
 	// Cores is the number of cores; one NIC queue pair, one pinned
 	// application thread and one softirq context per core, with
 	// interrupts affinitized (§5.1's tuning).
@@ -46,27 +49,14 @@ type Config struct {
 	Cost cost.Linux
 	// Factory builds the per-thread application.
 	Factory app.Factory
-	// ITR is interrupt moderation; the paper tunes thresholds, so the
-	// default is a low 4 µs.
-	ITR time.Duration
-	// Seed, RcvWnd, MinRTO, MemPages tune the stack.
-	Seed     uint64
-	RcvWnd   int
-	MinRTO   time.Duration
-	MemPages int
-	NICRing  int
-	// ExpectedConns presizes the kernel's global connection and socket
-	// tables for the anticipated population (0 = grow on demand).
-	ExpectedConns int
 }
 
 // Host is one Linux machine: a single kernel stack, per-core NIC queues
 // and softirq contexts, and one pinned application thread per core.
 type Host struct {
+	netstack.Machine
 	eng    *sim.Engine
 	cfg    Config
-	nic    *nicsim.NIC
-	arp    *netstack.ARPTable
 	region *mem.Region
 	cores  []*kcore
 
@@ -77,10 +67,6 @@ type Host struct {
 	// cur is the core whose context is currently executing kernel or
 	// app work; stack callbacks attribute costs and output to it.
 	cur *kcore
-
-	// missFloor is the handshake-frame miss charge (batched SYN
-	// admission), a run constant hoisted out of the softirq loop.
-	missFloor time.Duration
 
 	// socks is the host-global fd-style socket table and the engine's
 	// event adapter (the kernel's connection table is global).
@@ -100,67 +86,37 @@ func New(eng *sim.Engine, cfg Config) *Host {
 	if cfg.Cost == (cost.Linux{}) {
 		cfg.Cost = cost.DefaultLinux()
 	}
-	if cfg.ITR == 0 {
-		cfg.ITR = 4 * time.Microsecond
-	}
-	if cfg.MemPages <= 0 {
-		cfg.MemPages = 512
-	}
 	h := &Host{
 		eng:       eng,
 		cfg:       cfg,
-		arp:       netstack.NewARPTable(),
-		region:    mem.NewRegion(cfg.MemPages),
+		region:    mem.NewRegion(mem.DefaultPages),
 		listening: make(map[uint16]bool),
 	}
+	h.Machine = netstack.NewMachine(eng, cfg.HostConfig, nicsim.Config{Queues: cfg.Cores, ITR: itr})
 	h.socks = netstack.NewSockets(cfg.ExpectedConns, h.acceptor)
-	h.missFloor = time.Duration(cost.MissesPerMsg(0) * float64(cfg.Cost.L3Miss))
 	h.timerTask = h.runTimerTask
-	h.nic = nicsim.New(eng, cfg.MAC, nicsim.Config{
-		Queues:   cfg.Cores,
-		RingSize: cfg.NICRing,
-		ITR:      cfg.ITR,
-	})
 	h.wheel = timerwheel.New(timerwheel.DefaultTick, int64(eng.Now()))
 	// Kernel timer ticks run in softirq context on core 0.
 	h.timer.Init(eng, h.wheel, func() { h.cores[0].core.Submit(sim.ClassKernel, h.timerTask) })
-	h.ns = netstack.New(netstack.Config{
-		LocalIP:  cfg.IP,
-		LocalMAC: cfg.MAC,
-		Now:      func() int64 { return int64(eng.Now()) },
-		Wheel:    h.wheel,
-		SendFrame: func(f *fabric.Frame) {
-			c := h.cur
-			if c == nil {
-				c = h.cores[0]
-			}
-			c.outFrames = append(c.outFrames, f)
-		},
-		Events: h.socks,
-		ARP:    h.arp,
-		Seed:   cfg.Seed,
-		RcvWnd: cfg.RcvWnd,
-		MinRTO: cfg.MinRTO,
-		// Linux delays pure ACKs so responses piggyback them (scaled
-		// to the simulation's RTO floor).
-		DelAck: 100 * time.Microsecond,
-
-		ExpectedConns: cfg.ExpectedConns,
-	})
+	// One kernel stack serves every queue. Linux delays pure ACKs so
+	// responses piggyback them (scaled to the simulation's RTO floor).
+	h.ns = h.NewStack(0, 0, h.wheel, h.socks, func(f *fabric.Frame) {
+		c := h.cur
+		if c == nil {
+			c = h.cores[0]
+		}
+		c.outFrames = append(c.outFrames, f)
+	}, 100*time.Microsecond)
 	return h
 }
 
-// NIC returns the host NIC for fabric attachment.
-func (h *Host) NIC() *nicsim.NIC { return h.nic }
-
-// ARP returns the host ARP table.
-func (h *Host) ARP() *netstack.ARPTable { return h.arp }
-
-// IP returns the host address.
-func (h *Host) IP() wire.IPv4 { return h.cfg.IP }
-
-// MAC returns the hardware address.
-func (h *Host) MAC() wire.MAC { return h.cfg.MAC }
+// SetShard declares the shard owning the host's frame pool on a
+// parallel engine (before Start); the kernel stack already exists, so
+// its pool is tagged here.
+func (h *Host) SetShard(sh int, r fabric.RemoteReleaser) {
+	h.Machine.SetShard(sh, r)
+	h.ns.FramePool().SetShard(sh, r)
+}
 
 // Stack exposes the shared kernel stack (tests).
 func (h *Host) Stack() *netstack.Stack { return h.ns }
@@ -197,6 +153,9 @@ func (h *Host) Cores() int { return len(h.cores) }
 
 // ConnCount returns live connections.
 func (h *Host) ConnCount() int { return h.ns.TCP().ConnCount() }
+
+// FramesInUse reports frames outstanding from the kernel stack's pool.
+func (h *Host) FramesInUse() int { return h.ns.FramePool().InUse() }
 
 // CPUBreakdown reports kernel vs user busy time since ResetStats.
 func (h *Host) CPUBreakdown() (kernel, user time.Duration) {
@@ -279,8 +238,8 @@ func newKcore(h *Host, id int) *kcore {
 	k.napiFn = k.napiPoll
 	k.appRunFn = k.appRun
 	k.core.CtxSwitch = h.cfg.Cost.CtxSwitch
-	k.rxq = h.nic.RxQueue(id)
-	k.txq = h.nic.TxQueue(id)
+	k.rxq = h.NIC().RxQueue(id)
+	k.txq = h.NIC().TxQueue(id)
 	k.rxq.Mode = nicsim.ModeInterrupt
 	k.rxq.OnInterrupt = k.hardIRQ
 	k.rxq.EnableInterrupt()
@@ -384,7 +343,7 @@ func (k *kcore) napiPoll(m *sim.Meter) {
 	k.kernelNs += int64(c.HardIRQ)
 	frames := k.rxq.Take(napiBudget)
 	k.rxq.PostDescriptors(len(frames))
-	miss := time.Duration(cost.MissesPerMsg(h.ConnCount()) * float64(c.L3Miss))
+	miss := cost.MissStall(h.ConnCount(), c.L3Miss)
 	for _, f := range frames {
 		buf := k.pool.Alloc()
 		if buf == nil {
@@ -399,7 +358,7 @@ func (k *kcore) napiPoll(m *sim.Meter) {
 		// penalty.
 		d := c.SoftIRQPerPkt + miss
 		if nicsim.IsTCPSYN(f.Data) {
-			d = c.SoftIRQPerPkt + h.missFloor
+			d = c.SoftIRQPerPkt + cost.MissStall(0, c.L3Miss)
 		}
 		f.Release()
 		m.Charge(d)

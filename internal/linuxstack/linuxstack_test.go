@@ -6,6 +6,7 @@ import (
 
 	"ix/internal/app"
 	"ix/internal/fabric"
+	"ix/internal/netstack"
 	"ix/internal/sim"
 	"ix/internal/wire"
 )
@@ -42,14 +43,16 @@ func TestCrossCoreFlows(t *testing.T) {
 	eng := sim.NewEngine(9)
 	var srvGot, cliGot []byte
 	srv := New(eng, Config{
-		Name: "s", IP: wire.Addr4(10, 0, 0, 2), MAC: wire.MAC{2, 0, 0, 0, 0, 2}, Cores: 2,
+		HostConfig: netstack.HostConfig{Name: "s", IP: wire.Addr4(10, 0, 0, 2), MAC: wire.MAC{2, 0, 0, 0, 0, 2}},
+		Cores:      2,
 		Factory: func(env app.Env, th, n int) app.Handler {
 			_ = env.Listen(80)
 			return &pingpong{env: env, server: true, got: &srvGot}
 		},
 	})
 	cli := New(eng, Config{
-		Name: "c", IP: wire.Addr4(10, 0, 0, 1), MAC: wire.MAC{2, 0, 0, 0, 0, 1}, Cores: 4,
+		HostConfig: netstack.HostConfig{Name: "c", IP: wire.Addr4(10, 0, 0, 1), MAC: wire.MAC{2, 0, 0, 0, 0, 1}},
+		Cores:      4,
 		Factory: func(env app.Env, th, n int) app.Handler {
 			p := &pingpong{env: env, got: &cliGot, dst: wire.Addr4(10, 0, 0, 2)}
 			// Two connections per core: their RSS hashes will scatter.
@@ -85,14 +88,16 @@ func TestKernelShareDominates(t *testing.T) {
 	eng := sim.NewEngine(9)
 	var got []byte
 	srv := New(eng, Config{
-		Name: "s", IP: wire.Addr4(10, 0, 0, 2), MAC: wire.MAC{2, 0, 0, 0, 0, 2}, Cores: 1,
+		HostConfig: netstack.HostConfig{Name: "s", IP: wire.Addr4(10, 0, 0, 2), MAC: wire.MAC{2, 0, 0, 0, 0, 2}},
+		Cores:      1,
 		Factory: func(env app.Env, th, n int) app.Handler {
 			_ = env.Listen(80)
 			return &pingpong{env: env, server: true, got: &got}
 		},
 	})
 	cli := New(eng, Config{
-		Name: "c", IP: wire.Addr4(10, 0, 0, 1), MAC: wire.MAC{2, 0, 0, 0, 0, 1}, Cores: 1,
+		HostConfig: netstack.HostConfig{Name: "c", IP: wire.Addr4(10, 0, 0, 1), MAC: wire.MAC{2, 0, 0, 0, 0, 1}},
+		Cores:      1,
 		Factory: func(env app.Env, th, n int) app.Handler {
 			p := &pingpong{env: env, got: new([]byte), dst: wire.Addr4(10, 0, 0, 2)}
 			_ = env.Connect(p.dst, 80, nil)

@@ -26,6 +26,10 @@ type Region struct {
 	usedPages  int
 }
 
+// DefaultPages is the large-page grant a host gets unless the control
+// plane sets one: 512 pages = 1 GB.
+const DefaultPages = 512
+
 // NewRegion returns a region with capacity for pages large pages.
 func NewRegion(pages int) *Region {
 	return &Region{limitPages: pages}

@@ -31,11 +31,10 @@ import (
 // I/O batches).
 const pollBatch = 2048
 
-// Config describes an mTCP host.
+// Config describes an mTCP host. Each core presizes its connection
+// tables for its RSS share of ExpectedConns.
 type Config struct {
-	Name string
-	IP   wire.IPv4
-	MAC  wire.MAC
+	netstack.HostConfig
 	// Cores is the number of core pairs (TCP thread + app thread per
 	// core, as mTCP deploys).
 	Cores int
@@ -43,33 +42,15 @@ type Config struct {
 	Cost cost.MTCP
 	// Factory builds the per-thread application.
 	Factory app.Factory
-	// Seed, RcvWnd, MinRTO, MemPages tune the stack.
-	Seed     uint64
-	RcvWnd   int
-	MinRTO   time.Duration
-	MemPages int
-	NICRing  int
-	// ExpectedConns is the anticipated host-wide flow population; each
-	// core presizes its connection tables for its RSS share (0 = grow
-	// on demand).
-	ExpectedConns int
 }
 
 // Host is one mTCP machine.
 type Host struct {
+	netstack.Machine
 	eng    *sim.Engine
 	cfg    Config
-	nic    *nicsim.NIC
-	arp    *netstack.ARPTable
 	region *mem.Region
 	cores  []*mcore
-	// missFloor is the handshake-frame miss charge (batched SYN
-	// admission), a run constant hoisted out of the poll loop.
-	missFloor time.Duration
-	// shard/releaser: frame-pool ownership on a parallel engine (see
-	// SetShard); zero-valued on the serial engine.
-	shard    int
-	releaser fabric.RemoteReleaser
 }
 
 // New builds an mTCP host. Attach NIC ports before Start.
@@ -80,43 +61,9 @@ func New(eng *sim.Engine, cfg Config) *Host {
 	if cfg.Cost == (cost.MTCP{}) {
 		cfg.Cost = cost.DefaultMTCP()
 	}
-	if cfg.MemPages <= 0 {
-		cfg.MemPages = 512
-	}
-	h := &Host{
-		eng:       eng,
-		cfg:       cfg,
-		arp:       netstack.NewARPTable(),
-		region:    mem.NewRegion(cfg.MemPages),
-		missFloor: time.Duration(cost.MissesPerMsg(0) * float64(cfg.Cost.L3Miss)),
-	}
-	h.nic = nicsim.New(eng, cfg.MAC, nicsim.Config{
-		Queues:   cfg.Cores,
-		RingSize: cfg.NICRing,
-	})
+	h := &Host{eng: eng, cfg: cfg, region: mem.NewRegion(mem.DefaultPages)}
+	h.Machine = netstack.NewMachine(eng, cfg.HostConfig, nicsim.Config{Queues: cfg.Cores})
 	return h
-}
-
-// NIC returns the host NIC.
-func (h *Host) NIC() *nicsim.NIC { return h.nic }
-
-// ARP returns the host ARP table.
-func (h *Host) ARP() *netstack.ARPTable { return h.arp }
-
-// IP returns the host address.
-func (h *Host) IP() wire.IPv4 { return h.cfg.IP }
-
-// MAC returns the hardware address.
-func (h *Host) MAC() wire.MAC { return h.cfg.MAC }
-
-// SetShard declares the shard owning this host's frame pools on a
-// parallel engine; must be called before Start (cores tag their pools
-// at spawn, so cross-shard releases route home through r).
-func (h *Host) SetShard(sh int, r fabric.RemoteReleaser) {
-	h.shard, h.releaser = sh, r
-	for _, m := range h.cores {
-		m.ns.FramePool().SetShard(sh, r)
-	}
 }
 
 // Start spawns the per-core thread pairs.
@@ -141,6 +88,15 @@ func (h *Host) ConnCount() int {
 	n := 0
 	for _, m := range h.cores {
 		n += m.ns.TCP().ConnCount()
+	}
+	return n
+}
+
+// FramesInUse sums outstanding frames across the cores' pools.
+func (h *Host) FramesInUse() int {
+	n := 0
+	for _, m := range h.cores {
+		n += m.ns.FramePool().InUse()
 	}
 	return n
 }
@@ -188,8 +144,12 @@ type mcore struct {
 	tcpMore   bool
 	curMeter  *sim.Meter
 
-	// tcpFn is bound once (method values allocate).
+	// jobSpare recycles the drained job queue's backing array.
+	jobSpare []job
+
+	// tcpFn/appFn are bound once (method values allocate).
 	tcpFn func(*sim.Meter)
+	appFn func(*sim.Meter)
 	timer netstack.TimerWake
 }
 
@@ -209,38 +169,19 @@ func newMcore(h *Host, id int) *mcore {
 		pool:  mem.NewMbufPool(h.region, id),
 		wheel: timerwheel.New(timerwheel.DefaultTick, int64(h.eng.Now())),
 	}
-	expected := max(h.cfg.ExpectedConns, 0) / h.cfg.Cores
-	m.socks = netstack.NewSockets(expected, func() *netstack.SockOwner { return &m.so })
+	m.socks = netstack.NewSockets(h.ConnShare(h.cfg.Cores), func() *netstack.SockOwner { return &m.so })
 	m.so.Init(m, h.cfg.Cost.Sock())
 	m.tcpFn = m.tcpRound
+	m.appFn = m.appRound
 	m.timer.Init(h.eng, m.wheel, m.wakeTCP)
-	m.rxq = h.nic.RxQueue(id)
-	m.txq = h.nic.TxQueue(id)
+	m.rxq = h.NIC().RxQueue(id)
+	m.txq = h.NIC().TxQueue(id)
 	m.rxq.Mode = nicsim.ModePoll
 	m.rxq.OnFrame = m.wakeTCP
-	m.ns = netstack.New(netstack.Config{
-		LocalIP:   h.cfg.IP,
-		LocalMAC:  h.cfg.MAC,
-		Now:       func() int64 { return int64(h.eng.Now()) },
-		Wheel:     m.wheel,
-		SendFrame: func(f *fabric.Frame) { m.outFrames = append(m.outFrames, f) },
-		Events:    m.socks,
-		ARP:       h.arp,
-		Seed:      h.cfg.Seed + uint64(id)*0x9e3779b97f4a7c15,
-		RcvWnd:    h.cfg.RcvWnd,
-		MinRTO:    h.cfg.MinRTO,
-
-		ExpectedConns: expected,
-		PortOK: func(p uint16, dst wire.IPv4, dport uint16) bool {
-			// mTCP also partitions flows per core (it splits the
-			// ephemeral port space by RSS, like IX).
-			ret := wire.FlowKey{SrcIP: dst, DstIP: h.cfg.IP, SrcPort: dport, DstPort: p, Proto: wire.ProtoTCP}
-			return h.nic.RSSQueue(ret) == id
-		},
-	})
-	if h.releaser != nil {
-		m.ns.FramePool().SetShard(h.shard, h.releaser)
-	}
+	// mTCP also partitions flows per core (it splits the ephemeral port
+	// space by RSS, like IX).
+	m.ns = h.NewStack(id, h.cfg.Cores, m.wheel, m.socks,
+		func(f *fabric.Frame) { m.outFrames = append(m.outFrames, f) }, 0)
 	return m
 }
 
@@ -265,19 +206,22 @@ func (m *mcore) tcpRound(meter *sim.Meter) {
 
 	// Application jobs first (writes queued since last round).
 	jobs := m.jobQ
-	m.jobQ = nil
-	for _, j := range jobs {
+	m.jobQ = m.jobSpare[:0]
+	m.jobSpare = nil
+	for i, j := range jobs {
 		meter.Charge(c.QueueOp)
 		if j.connect != nil {
 			j.connect()
 		} else {
 			j.s.Do(j.op)
 		}
+		jobs[i] = job{}
 	}
+	m.jobSpare = jobs[:0]
 
 	frames := m.rxq.Take(pollBatch)
 	m.rxq.PostDescriptors(len(frames))
-	miss := time.Duration(cost.MissesPerMsg(m.h.ConnCount()) * float64(c.L3Miss))
+	miss := cost.MissStall(m.h.ConnCount(), c.L3Miss)
 	for _, f := range frames {
 		buf := m.pool.Alloc()
 		if buf == nil {
@@ -288,7 +232,7 @@ func (m *mcore) tcpRound(meter *sim.Meter) {
 		// Handshake frames charge the miss floor (batched SYN
 		// admission); see the linuxstack napiPoll note.
 		if nicsim.IsTCPSYN(f.Data) {
-			meter.Charge(c.ProtoRx + m.h.missFloor)
+			meter.Charge(c.ProtoRx + cost.MissStall(0, c.L3Miss))
 		} else {
 			meter.Charge(c.ProtoRx + miss)
 		}
@@ -329,11 +273,35 @@ func mEndTCPRound(a any) {
 // handoff interval (half the round trip of mTCP's added latency).
 func (m *mcore) queueJob(j job) {
 	m.jobQ = append(m.jobQ, j)
+	m.handoffTCP()
+}
+
+// handoffTCP wakes the TCP thread one handoff interval from now, unless
+// a round is already due.
+func (m *mcore) handoffTCP() {
 	if m.tcpQueued || m.tcpPending {
 		return
 	}
 	m.tcpPending = true
-	m.h.eng.After(m.h.cfg.Cost.HandoffInterval, m.wakeTCP)
+	m.h.eng.CallAfter(m.h.cfg.Cost.HandoffInterval, mWakeTCP, m)
+}
+
+// Engine and end-of-task trampolines (pooled events, no closures).
+func mWakeTCP(a any) { a.(*mcore).wakeTCP() }
+
+func mSubmitApp(a any) {
+	m := a.(*mcore)
+	m.core.Submit(sim.ClassUser, m.appFn)
+}
+
+// mEndApp ends an app-thread task: events may have landed while it ran,
+// and the jobs it queued go to the TCP thread.
+func mEndApp(a any) {
+	m := a.(*mcore)
+	m.Wake()
+	if len(m.jobQ) > 0 {
+		m.handoffTCP()
+	}
 }
 
 // Charge bills socket work to whichever thread of the pair is running.
@@ -353,9 +321,7 @@ func (m *mcore) Wake() {
 		return
 	}
 	m.appPending = true
-	m.h.eng.After(m.h.cfg.Cost.HandoffInterval, func() {
-		m.core.Submit(sim.ClassUser, m.appRound)
-	})
+	m.h.eng.CallAfter(m.h.cfg.Cost.HandoffInterval, mSubmitApp, m)
 }
 
 // appRound drains the event queue through the application handler.
@@ -364,13 +330,7 @@ func (m *mcore) appRound(meter *sim.Meter) {
 	m.curMeter = meter
 	m.so.Drain()
 	m.curMeter = nil
-	meter.AtEnd(func() {
-		m.Wake()
-		if len(m.jobQ) > 0 && !m.tcpPending && !m.tcpQueued {
-			m.tcpPending = true
-			m.h.eng.After(m.h.cfg.Cost.HandoffInterval, m.wakeTCP)
-		}
-	})
+	meter.AtEndCall(mEndApp, m)
 }
 
 // env returns the app.Env for this core.
@@ -406,13 +366,7 @@ func (e *menv) After(d time.Duration, fn func()) {
 			m.curMeter = meter
 			fn()
 			m.curMeter = nil
-			meter.AtEnd(func() {
-				m.Wake()
-				if len(m.jobQ) > 0 && !m.tcpPending && !m.tcpQueued {
-					m.tcpPending = true
-					m.h.eng.After(m.h.cfg.Cost.HandoffInterval, m.wakeTCP)
-				}
-			})
+			meter.AtEndCall(mEndApp, m)
 		})
 	})
 }

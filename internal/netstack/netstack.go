@@ -7,12 +7,9 @@
 package netstack
 
 import (
-	"time"
-
 	"ix/internal/fabric"
 	"ix/internal/mem"
 	"ix/internal/tcp"
-	"ix/internal/timerwheel"
 	"ix/internal/wire"
 )
 
@@ -57,31 +54,16 @@ type UDPHandler func(src wire.IPv4, srcPort, dstPort uint16, data []byte, buf *m
 
 // Config assembles a Stack.
 type Config struct {
-	LocalIP  wire.IPv4
+	// TCP configures the embedded TCP engine; New supplies its Output.
+	// TCP.LocalIP is the stack's address.
+	TCP      tcp.Config
 	LocalMAC wire.MAC
-	// Now returns virtual nanoseconds.
-	Now func() int64
-	// Wheel is the per-thread timer wheel (shared with TCP).
-	Wheel *timerwheel.Wheel
 	// SendFrame transmits an assembled L2 frame (to the thread's NIC TX
 	// queue). The frame comes from the stack's frame pool; whoever
 	// consumes it on the receiving side releases it.
 	SendFrame func(frame *fabric.Frame)
-	// Events receives TCP protocol events.
-	Events tcp.Events
 	// ARP is the host-shared ARP table.
 	ARP *ARPTable
-	// TCP tuning passed through to the TCP engine.
-	RcvWnd     int
-	MSS        int
-	PortOK     func(port uint16, dst wire.IPv4, dport uint16) bool
-	Seed       uint64
-	MinRTO     time.Duration
-	MaxRexmits int
-	TimeWait   time.Duration
-	DelAck     time.Duration
-	// ExpectedConns presizes the TCP engine's connection table.
-	ExpectedConns int
 }
 
 // Stack is one per-core network stack instance.
@@ -119,23 +101,9 @@ func New(cfg Config) *Stack {
 		frames:     fabric.NewFramePool(),
 		pendingARP: make(map[wire.IPv4][]*fabric.Frame),
 	}
-	s.tcp = tcp.NewStack(tcp.Config{
-		LocalIP:    cfg.LocalIP,
-		Now:        cfg.Now,
-		Wheel:      cfg.Wheel,
-		Output:     s.outputTCP,
-		Events:     cfg.Events,
-		RcvWnd:     cfg.RcvWnd,
-		MSS:        cfg.MSS,
-		PortOK:     cfg.PortOK,
-		Seed:       cfg.Seed,
-		MinRTO:     cfg.MinRTO,
-		MaxRexmits: cfg.MaxRexmits,
-		TimeWait:   cfg.TimeWait,
-		DelAck:     cfg.DelAck,
-
-		ExpectedConns: cfg.ExpectedConns,
-	})
+	tc := cfg.TCP
+	tc.Output = s.outputTCP
+	s.tcp = tcp.NewStack(tc)
 	return s
 }
 
@@ -178,11 +146,11 @@ func (s *Stack) inputARP(p []byte) {
 	// Learn the sender either way.
 	s.cfg.ARP.Learn(arp.SenderIP, arp.SenderHW)
 	s.flushPending(arp.SenderIP)
-	if arp.Op == wire.ARPRequest && arp.TargetIP == s.cfg.LocalIP {
+	if arp.Op == wire.ARPRequest && arp.TargetIP == s.cfg.TCP.LocalIP {
 		reply := wire.ARPPacket{
 			Op:       wire.ARPReply,
 			SenderHW: s.cfg.LocalMAC,
-			SenderIP: s.cfg.LocalIP,
+			SenderIP: s.cfg.TCP.LocalIP,
 			TargetHW: arp.SenderHW,
 			TargetIP: arp.SenderIP,
 		}
@@ -197,7 +165,7 @@ func (s *Stack) inputIPv4(p []byte, buf *mem.Mbuf) {
 		s.RxDropped++
 		return
 	}
-	if iph.Dst != s.cfg.LocalIP {
+	if iph.Dst != s.cfg.TCP.LocalIP {
 		s.RxDropped++
 		return
 	}
@@ -280,7 +248,7 @@ func (s *Stack) outputTCP(c *tcp.Conn, hdr *wire.TCPHeader, payload [][]byte) {
 		for _, pb := range payload {
 			off += copy(b[off:], pb)
 		}
-		wire.SetTCPChecksum(s.cfg.LocalIP, dst, b[:segLen])
+		wire.SetTCPChecksum(s.cfg.TCP.LocalIP, dst, b[:segLen])
 	})
 }
 
@@ -299,7 +267,7 @@ func (s *Stack) sendIPv4(dst wire.IPv4, proto uint8, bodyLen int, fill func([]by
 		Flags:    wire.DontFragment,
 		TTL:      64,
 		Proto:    proto,
-		Src:      s.cfg.LocalIP,
+		Src:      s.cfg.TCP.LocalIP,
 		Dst:      dst,
 	}
 	iph.Marshal(frame[wire.EthHdrLen:])
@@ -319,7 +287,7 @@ func (s *Stack) sendARPRequest(dst wire.IPv4) {
 	req := wire.ARPPacket{
 		Op:       wire.ARPRequest,
 		SenderHW: s.cfg.LocalMAC,
-		SenderIP: s.cfg.LocalIP,
+		SenderIP: s.cfg.TCP.LocalIP,
 		TargetIP: dst,
 	}
 	s.ARPRequests++

@@ -33,16 +33,18 @@ type host struct {
 func newHost(now *int64, ip wire.IPv4, mac wire.MAC, arp *ARPTable) *host {
 	h := &host{pool: mem.NewMbufPool(mem.NewRegion(4), 0), events: &nullEvents{}}
 	h.s = New(Config{
-		LocalIP:  ip,
+		TCP: tcp.Config{
+			LocalIP: ip,
+			Now:     func() int64 { return *now },
+			Wheel:   timerwheel.New(timerwheel.DefaultTick, 0),
+			Events:  h.events,
+		},
 		LocalMAC: mac,
-		Now:      func() int64 { return *now },
-		Wheel:    timerwheel.New(timerwheel.DefaultTick, 0),
 		SendFrame: func(f *fabric.Frame) {
 			h.out = append(h.out, append([]byte(nil), f.Data...))
 			f.Release()
 		},
-		Events: h.events,
-		ARP:    arp,
+		ARP: arp,
 	})
 	return h
 }

@@ -11,6 +11,7 @@ import (
 	"ix/internal/cost"
 	"ix/internal/fabric"
 	"ix/internal/mem"
+	"ix/internal/tcp"
 	"ix/internal/timerwheel"
 	"ix/internal/wire"
 )
@@ -84,16 +85,18 @@ func newSockHost(now *int64, ip wire.IPv4, mac wire.MAC, arp *ARPTable) *sockHos
 	h.owner.Init(&h.stack, cost.DefaultLinux().Sock())
 	h.owner.SetHandler(&h.h)
 	h.s = New(Config{
-		LocalIP:  ip,
+		TCP: tcp.Config{
+			LocalIP: ip,
+			Now:     func() int64 { return *now },
+			Wheel:   h.wheel,
+			Events:  h.socks,
+		},
 		LocalMAC: mac,
-		Now:      func() int64 { return *now },
-		Wheel:    h.wheel,
 		SendFrame: func(f *fabric.Frame) {
 			h.out = append(h.out, append([]byte(nil), f.Data...))
 			f.Release()
 		},
-		Events: h.socks,
-		ARP:    arp,
+		ARP: arp,
 	})
 	return h
 }

@@ -138,8 +138,6 @@ type Config struct {
 	Events Events
 	// RcvWnd is the maximum receive window in bytes (default 256 KB).
 	RcvWnd int
-	// MSS is the maximum segment size (default wire.MSS).
-	MSS int
 	// PortOK, if set, filters ephemeral port choices; IX client threads
 	// use it to probe ports whose RSS hash (for the return direction of
 	// the flow to dst:dport) lands on this thread's queue (§4.4: "we
@@ -233,9 +231,6 @@ func NewStack(cfg Config) *Stack {
 	}
 	if cfg.RcvWnd <= 0 {
 		cfg.RcvWnd = defaultRcvWnd
-	}
-	if cfg.MSS <= 0 {
-		cfg.MSS = wire.MSS
 	}
 	if cfg.MinRTO <= 0 {
 		cfg.MinRTO = defaultMinRTO
@@ -471,7 +466,7 @@ func (c *Conn) LocalPort() uint16 { return c.key.SrcPort }
 func (c *Conn) RemoteIP() wire.IPv4 { return c.key.DstIP }
 
 // mss returns the effective segment size.
-func (c *Conn) mss() int { return c.stack.cfg.MSS }
+func (c *Conn) mss() int { return wire.MSS }
 
 // flight returns bytes in flight.
 func (c *Conn) flight() uint32 { return c.sndNxt - c.sndUna }
@@ -581,7 +576,7 @@ func (s *Stack) newConn(key wire.FlowKey) *Conn {
 		stack:    s,
 		key:      key,
 		iss:      s.nextISS(),
-		cwnd:     uint32(initialCwnd * s.cfg.MSS),
+		cwnd:     uint32(initialCwnd * wire.MSS),
 		ssthresh: 1 << 30,
 		rto:      initialRTO,
 	}
