@@ -487,12 +487,14 @@ func (d *Dataplane) BusyTotal() time.Duration {
 	return k + u
 }
 
-// MeanBatch returns the average adaptive batch size over the window.
+// MeanBatch returns the average adaptive batch size over the window,
+// from the histograms' exact sums (a per-thread Mean rounds to whole
+// frames).
 func (d *Dataplane) MeanBatch() float64 {
 	var sum float64
 	var n uint64
 	for _, et := range d.threads {
-		sum += float64(et.BatchHist.Mean()) * float64(et.BatchHist.Count())
+		sum += float64(et.BatchHist.Sum())
 		n += et.BatchHist.Count()
 	}
 	if n == 0 {

@@ -93,6 +93,9 @@ func (h *Histogram) Record(d time.Duration) {
 // Count returns the number of samples.
 func (h *Histogram) Count() uint64 { return shard.Load64(&h.total) }
 
+// Sum returns the exact total of the samples.
+func (h *Histogram) Sum() time.Duration { return time.Duration(shard.LoadI64(&h.sum)) }
+
 // Mean returns the average sample, or 0 with no samples.
 func (h *Histogram) Mean() time.Duration {
 	if h.total == 0 {
