@@ -110,13 +110,10 @@ func New(eng *sim.Engine, cfg Config) *Host {
 	return h
 }
 
-// SetShard declares the shard owning the host's frame pool on a
-// parallel engine (before Start); the kernel stack already exists, so
-// its pool is tagged here.
-func (h *Host) SetShard(sh int, r fabric.RemoteReleaser) {
-	h.Machine.SetShard(sh, r)
-	h.ns.FramePool().SetShard(sh, r)
-}
+// SetShard places the kernel stack's frame pool on shard sh of a
+// parallel engine; the stack exists from New on, so it is tagged here
+// rather than by NewStack.
+func (h *Host) SetShard(sh int, r fabric.RemoteReleaser) { h.ns.FramePool().SetShard(sh, r) }
 
 // Stack exposes the shared kernel stack (tests).
 func (h *Host) Stack() *netstack.Stack { return h.ns }
